@@ -2,10 +2,13 @@
 
 Both fidelities satisfy the same interface and are deterministic pure
 functions of (shape, re_c). The low-fidelity model prices drag with a
-form-factor-corrected turbulent flat-plate skin friction on top of the panel
-solution; the high-fidelity model marches an integral boundary layer over the
-panel edge velocities and closes with Squire-Young. One ``step`` call is one
-complete episode (the flow solve IS the episode).
+form-factor-corrected turbulent flat-plate skin friction: its reward reads the
+shape's maximum thickness and the Reynolds number only, so ``step`` runs no
+panel solve there, and the panel solution is computed only where Cp and Cl
+are reported (``Environment.evaluate``). The high-fidelity model marches an
+integral boundary layer over the panel edge velocities and closes with
+Squire-Young. One ``step`` call is one complete episode (the flow solve IS
+the episode).
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ class AeroResult:
     """Aerodynamic coefficients for one evaluated shape."""
 
     cd: float
-    cl: float
-    cp: np.ndarray
-    cp_x: np.ndarray
+    cl: float | None          # None where no panel solve ran
+    cp: np.ndarray | None
+    cp_x: np.ndarray | None
     converged: bool
 
 
@@ -76,10 +79,15 @@ def form_factor(thickness_ratio: float) -> float:
     return 1.0 + 2.7 * t + 100.0 * t**4
 
 
+def low_fidelity_drag(thickness_max: float, re_c: float) -> float:
+    """Skin-friction drag of both sides with a thickness form factor."""
+    return 2.0 * flat_plate_cf(re_c) * form_factor(thickness_max)
+
+
 def low_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0) -> AeroResult:
-    """Skin-friction drag with a thickness form factor; Cl, Cp from the panel solve."""
+    """Low-fidelity drag, with Cl and Cp from the panel solve."""
     sol = solve_panel(shape.points, alpha=alpha)
-    cd = 2.0 * flat_plate_cf(re_c) * form_factor(shape.thickness_max)
+    cd = low_fidelity_drag(shape.thickness_max, re_c)
     return AeroResult(cd=cd, cl=sol.cl, cp=sol.cp, cp_x=sol.x_mid, converged=True)
 
 
@@ -129,12 +137,17 @@ class Environment:
             self._eval_count += 1
 
     def evaluate(self, shape: AirfoilShape, re_c: float) -> AeroResult:
+        """Drag, lift and surface pressure of one shape (solves the panel system)."""
         self._count()
+        if self.fidelity == "low":
+            return low_fidelity_cd(shape, re_c, alpha=self.alpha)
         return self._evaluate(shape, re_c)
 
     def _evaluate(self, shape: AirfoilShape, re_c: float) -> AeroResult:
+        """What the reward needs: at low fidelity the drag alone, with no panel solve."""
         if self.fidelity == "low":
-            return low_fidelity_cd(shape, re_c, alpha=self.alpha)
+            return AeroResult(cd=low_fidelity_drag(shape.thickness_max, re_c), cl=None,
+                              cp=None, cp_x=None, converged=True)
         return high_fidelity_cd(shape, re_c, alpha=self.alpha)
 
     def build_shape(self, design) -> AirfoilShape:
@@ -146,6 +159,7 @@ class Environment:
 
         Returns (reward, info). Never raises into the training loop. Every call
         counts as one environment evaluation, penalized episodes included.
+        At low fidelity no panel solve runs, so ``info["cl"]`` is None there.
         """
         self._count()
         info = {"re_c": re_c, "valid": False, "converged": False,

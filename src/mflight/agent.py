@@ -231,7 +231,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         shape = tuple(int(d) for d in parts[2:])
         count = 1 if shape == (0,) else int(np.prod(shape))
         i += 1
-        if i + count > len(lines) + 1:
+        if i + count > len(lines):
             raise CheckpointError(f"truncated checkpoint {path}")
         try:
             vals = np.array([float(v) for v in lines[i:i + count]], dtype=float)

@@ -9,6 +9,7 @@ separation (H > 2.4) ahead of 95% chord marks the march as not converged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,11 @@ def march_surface(s: np.ndarray, ue: np.ndarray, x: np.ndarray, nu: float) -> Su
     ``ue`` the edge-velocity magnitude at those stations, ``x`` the chordwise
     position used for the separation cutoff, ``nu`` the kinematic viscosity
     (1/Re_c in chord units).
+
+    The station loops run on Python floats, with Head's rates and the
+    correlations above written out in the loop body in the same operation
+    order, so every result is bit-identical to composing those functions.
+    ``b if b > a else a`` is ``max(a, b)`` exactly, NaN included.
     """
     s = np.asarray(s, dtype=float)
     ue = np.maximum(np.asarray(ue, dtype=float), UE_FLOOR)
@@ -99,66 +105,113 @@ def march_surface(s: np.ndarray, ue: np.ndarray, x: np.ndarray, nu: float) -> Su
     if due_ds[0] > 0.0:
         theta_sq += 0.075 * nu / due_ds[0] * (ue[0] / ue) ** 6
 
+    s = s.tolist()
+    ue = ue.tolist()
+    due_ds = due_ds.tolist()
+    theta_sq = theta_sq.tolist()
+    x = np.asarray(x, dtype=float).tolist()
+
     transition_s = s[-1]
     i_tr = n - 1
     theta_tr = None
     for i in range(n):
-        theta = float(np.sqrt(max(theta_sq[i], 0.0)))
-        lam = theta * theta * due_ds[i] / nu
-        re_theta = ue[i] * theta / nu
-        re_x = ue[i] * s[i] / nu
-        if i > 0 and (re_theta > michel_retheta_crit(re_x) or lam < LAMBDA_SEP):
+        tsq = theta_sq[i]
+        theta = math.sqrt(0.0 if 0.0 > tsq else tsq)
+        if i == 0:
+            continue
+        ue_i = ue[i]
+        re_theta = ue_i * theta / nu
+        re_x = ue_i * s[i] / nu
+        re_x = 1.0 if 1.0 > re_x else re_x
+        # Michel's line, as michel_retheta_crit
+        if (re_theta > 1.174 * (1.0 + 22400.0 / re_x) * re_x**0.46
+                or theta * theta * due_ds[i] / nu < LAMBDA_SEP):
             i_tr = i
-            transition_s = float(s[i])
+            transition_s = s[i]
             theta_tr = theta
             break
 
     if theta_tr is None:
         # fully laminar to the trailing edge
-        theta_te = float(np.sqrt(max(theta_sq[-1], 0.0)))
+        tsq = theta_sq[-1]
+        theta_te = math.sqrt(0.0 if 0.0 > tsq else tsq)
         lam_te = theta_te * theta_te * due_ds[-1] / nu
         _, h_te = thwaites_correlations(lam_te)
-        return SurfaceMarch(theta=theta_te, shape_factor=h_te, ue_te=float(ue[-1]),
-                            cd=squire_young_cd(theta_te, float(ue[-1]), h_te),
+        return SurfaceMarch(theta=theta_te, shape_factor=h_te, ue_te=ue[-1],
+                            cd=squire_young_cd(theta_te, ue[-1], h_te),
                             transition_s=transition_s, separated=False)
 
     # turbulent segment: Head's entrainment method, RK2 on the station grid
-    theta = max(theta_tr, 1e-9)
+    theta = 1e-9 if 1e-9 > theta_tr else theta_tr
     h = H_TURB_INIT
     separated = False
     n_sub = 4
-
-    def rates(theta_v, h_v, ue_v, due_v):
-        theta_v = max(theta_v, 1e-12)
-        re_theta = ue_v * theta_v / nu
-        cf = ludwieg_tillmann_cf(h_v, re_theta)
-        h1 = head_h1(h_v)
-        dtheta = 0.5 * cf - (h_v + 2.0) * theta_v / ue_v * due_v
-        # d(ue theta H1)/ds = ue F  =>  dH1/ds from the product rule
-        dh1 = (entrainment(h1) * ue_v - h1 * (dtheta * ue_v + theta_v * due_v)) / (ue_v * theta_v)
-        return dtheta, dh1
+    fracs = [(j + 0.5) / n_sub for j in range(n_sub)]
 
     h1 = head_h1(h)
     for i in range(i_tr, n - 1):
         ds = (s[i + 1] - s[i]) / n_sub
-        for j in range(n_sub):
-            frac = (j + 0.5) / n_sub
-            ue_v = ue[i] + frac * (ue[i + 1] - ue[i])
-            due_v = due_ds[i] + frac * (due_ds[i + 1] - due_ds[i])
-            k1t, k1h = rates(theta, h, ue_v, due_v)
-            k2t, k2h = rates(theta + 0.5 * ds * k1t, head_h(h1 + 0.5 * ds * k1h), ue_v, due_v)
-            theta = max(theta + ds * k2t, 1e-12)
-            h1 = max(h1 + ds * k2h, 3.32)
-            h = head_h(h1)
+        half_ds = 0.5 * ds
+        ue_a = ue[i]
+        ue_d = ue[i + 1] - ue_a
+        due_a = due_ds[i]
+        due_d = due_ds[i + 1] - due_a
+        for frac in fracs:
+            ue_v = ue_a + frac * ue_d
+            due_v = due_a + frac * due_d
+
+            # k1: Head's rates at (theta, h)
+            th = 1e-12 if 1e-12 > theta else theta
+            re_theta = ue_v * th / nu
+            cf = 0.246 * 10.0 ** (-0.678 * h) * (1.0 if 1.0 > re_theta else re_theta) ** -0.268
+            hh = 1.101 if 1.101 > h else h
+            if hh <= 1.6:
+                h1_v = 3.3 + 0.8234 * (hh - 1.1) ** -1.287
+            else:
+                h1_v = 3.3 + 1.5501 * (hh - 0.6778) ** -3.064
+            k1t = 0.5 * cf - (h + 2.0) * th / ue_v * due_v
+            e = h1_v - 3.0
+            k1h = (0.0306 * (1e-3 if 1e-3 > e else e) ** -0.6169 * ue_v
+                   - h1_v * (k1t * ue_v + th * due_v)) / (ue_v * th)
+
+            # k2: Head's rates at the midpoint, H from head_h of the H1 half step
+            th = theta + half_ds * k1t
+            th = 1e-12 if 1e-12 > th else th
+            h1_m = h1 + half_ds * k1h
+            h1_m = 3.32 if 3.32 > h1_m else h1_m
+            if h1_m >= 5.3:
+                h_m = 1.1 + 0.86 * (h1_m - 3.3) ** -0.777
+            else:
+                h_m = 0.6778 + 1.1536 * (h1_m - 3.3) ** -0.326
+            re_theta = ue_v * th / nu
+            cf = 0.246 * 10.0 ** (-0.678 * h_m) * (1.0 if 1.0 > re_theta else re_theta) ** -0.268
+            hh = 1.101 if 1.101 > h_m else h_m
+            if hh <= 1.6:
+                h1_v = 3.3 + 0.8234 * (hh - 1.1) ** -1.287
+            else:
+                h1_v = 3.3 + 1.5501 * (hh - 0.6778) ** -3.064
+            k2t = 0.5 * cf - (h_m + 2.0) * th / ue_v * due_v
+            e = h1_v - 3.0
+            k2h = (0.0306 * (1e-3 if 1e-3 > e else e) ** -0.6169 * ue_v
+                   - h1_v * (k2t * ue_v + th * due_v)) / (ue_v * th)
+
+            theta = theta + ds * k2t
+            theta = 1e-12 if 1e-12 > theta else theta
+            h1 = h1 + ds * k2h
+            h1 = 3.32 if 3.32 > h1 else h1
+            if h1 >= 5.3:
+                h = 1.1 + 0.86 * (h1 - 3.3) ** -0.777
+            else:
+                h = 0.6778 + 1.1536 * (h1 - 3.3) ** -0.326
         if h > H_TURB_SEP:
             h = H_TURB_SEP
             h1 = head_h1(h)
             if x[i + 1] < SEP_CHORD_LIMIT:
                 separated = True
 
-    ue_te = float(ue[-1])
-    return SurfaceMarch(theta=float(theta), shape_factor=float(h), ue_te=ue_te,
-                        cd=squire_young_cd(float(theta), ue_te, float(h)),
+    ue_te = ue[-1]
+    return SurfaceMarch(theta=theta, shape_factor=h, ue_te=ue_te,
+                        cd=squire_young_cd(theta, ue_te, h),
                         transition_s=transition_s, separated=separated)
 
 

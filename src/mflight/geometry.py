@@ -9,6 +9,7 @@ and are mapped affinely onto configurable geometric ranges.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -180,18 +181,28 @@ def bezier_eval(ctrl, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if (t_arr < 0.0).any() or (t_arr > 1.0).any():
         raise DomainError("bezier parameter t must lie in [0, 1]")
-    n = ctrl.shape[0] - 1
+    out = _bernstein_basis(ctrl.shape[0] - 1, t_arr) @ ctrl
+    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def _bernstein_basis(n: int, t: np.ndarray) -> np.ndarray:
+    """basis[j, i] = C(n,i) t_j^i (1-t_j)^(n-i); 0**0 == 1 keeps endpoints exact."""
     i = np.arange(n + 1)
     coef = np.array([math.comb(n, k) for k in i], dtype=float)
-    # basis[j, i] = C(n,i) t_j^i (1-t_j)^(n-i); 0**0 == 1 keeps endpoints exact
-    basis = coef * t_arr[:, None] ** i * (1.0 - t_arr[:, None]) ** (n - i)
-    out = basis @ ctrl
-    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+    return coef * t[:, None] ** i * (1.0 - t[:, None]) ** (n - i)
 
 
 def _cosine_params(n: int) -> np.ndarray:
     """n parameters in [0, 1] clustered toward both ends."""
     return 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
+
+
+@functools.lru_cache(maxsize=8)
+def _surface_basis(m: int) -> np.ndarray:
+    """Read-only quartic basis at m cosine-clustered parameters, one per surface size."""
+    basis = _bernstein_basis(4, _cosine_params(m))
+    basis.flags.writeable = False
+    return basis
 
 
 def _blend_nose_arc(pts: np.ndarray, radius: float, blend_fraction: float, side: float) -> np.ndarray:
@@ -218,33 +229,47 @@ def _blend_nose_arc(pts: np.ndarray, radius: float, blend_fraction: float, side:
     return out
 
 
+def _cross(o, a, b):
+    """(a - o) x (b - o) for broadcastable stacks of points."""
+    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
+        a[..., 1] - o[..., 1]
+    ) * (b[..., 0] - o[..., 0])
+
+
 def _segments_cross(points: np.ndarray) -> bool:
-    """Vectorized proper-intersection test over all non-adjacent segment pairs."""
+    """Proper-intersection test between the lower and the upper surface.
+
+    ``points`` is a :func:`build_airfoil` polyline whose two surfaces are
+    strictly x-monotone: segments 0..h-1 run TE -> LE along the lower surface,
+    segments h..2h-1 run LE -> TE along the upper one. Two non-adjacent
+    segments of one surface then have disjoint x-ranges and cannot cross, and
+    neither can a lower and an upper segment whose x-ranges are disjoint. So
+    the proper-crossing predicate is evaluated only on the lower x upper pairs
+    whose closed x-ranges overlap, leaving out the pairs that share a node:
+    the two segments at the leading edge and the two that close the loop at
+    the trailing edge.
+    """
     p = points[:-1]
     q = points[1:]
-    n = len(p)
-    d = q - p
-
-    def cross(o, a, b):
-        # (a - o) x (b - o) for broadcastable stacks of points
-        return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
-            a[..., 1] - o[..., 1]
-        ) * (b[..., 0] - o[..., 0])
-
-    pi = p[:, None, :]
-    qi = q[:, None, :]
-    pj = p[None, :, :]
-    qj = q[None, :, :]
-    d1 = cross(pi, qi, pj)
-    d2 = cross(pi, qi, qj)
-    d3 = cross(pj, qj, pi)
-    d4 = cross(pj, qj, qi)
-    proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    idx = np.arange(n)
-    adjacent = np.abs(idx[:, None] - idx[None, :]) <= 1
-    # first and last segments share the closing node of the polyline
-    adjacent[0, n - 1] = adjacent[n - 1, 0] = True
-    return bool((proper & ~adjacent).any())
+    h = len(p) // 2
+    x = points[:, 0]
+    # lower segment k spans [x[k + 1], x[k]]; upper segment h + j spans [x[h + j], x[h + j + 1]]
+    lo_min, lo_max = x[1:h + 1], x[:h]
+    up_min, up_max = x[h:2 * h], x[h + 1:]
+    start = np.searchsorted(up_max, lo_min, side="left")
+    stop = np.searchsorted(up_min, lo_max, side="right")
+    counts = np.maximum(stop - start, 0)
+    i = np.repeat(np.arange(h), counts)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    j = h + np.repeat(start, counts) + offset
+    keep = ~(((i == h - 1) & (j == h)) | ((i == 0) & (j == 2 * h - 1)))
+    i, j = i[keep], j[keep]
+    pi, qi, pj, qj = p[i], q[i], p[j], q[j]
+    d1 = _cross(pi, qi, pj)
+    d2 = _cross(pi, qi, qj)
+    d3 = _cross(pj, qj, pi)
+    d4 = _cross(pj, qj, qi)
+    return bool(((d1 * d2 < 0.0) & (d3 * d4 < 0.0)).any())
 
 
 def build_airfoil(polygon: ControlPolygon, n_points: int, blend_fraction: float = 0.02) -> AirfoilShape:
@@ -258,9 +283,9 @@ def build_airfoil(polygon: ControlPolygon, n_points: int, blend_fraction: float 
     if n_points < 40 or n_points % 2 != 0:
         raise ConfigError("n_points must be an even number >= 40")
     m = n_points // 2
-    t = _cosine_params(m)
-    upper = bezier_eval(polygon.upper_curve(), t)
-    lower = bezier_eval(polygon.lower_curve(), t)
+    basis = _surface_basis(m)
+    upper = basis @ polygon.upper_curve()
+    lower = basis @ polygon.lower_curve()
     r = polygon.leading_edge_radius
     upper = _blend_nose_arc(upper, r, blend_fraction, +1.0)
     lower = _blend_nose_arc(lower, r, blend_fraction, -1.0)

@@ -446,16 +446,19 @@ def read_episodes_csv(path):
         lines = fh.read().splitlines()
     if not lines or lines[0] != EPISODES_SCHEMA:
         raise SchemaError(f"{path}: unknown episodes.csv schema")
-    if lines[1] != ",".join(EPISODE_COLUMNS):
+    if len(lines) < 2 or lines[1] != ",".join(EPISODE_COLUMNS):
         raise SchemaError(f"{path}: unexpected episodes.csv columns")
     rows = []
-    for line in lines[2:]:
-        ep, phase, fidelity, worker, re_c, reward, beta, clipf = line.split(",")
-        rows.append({"episode": int(ep), "phase": phase, "fidelity": fidelity,
-                     "worker": int(worker), "re_c": float(re_c),
-                     "reward": float(reward),
-                     "beta": None if beta == "" else float(beta),
-                     "clip_fraction": float(clipf)})
+    for number, line in enumerate(lines[2:], start=3):
+        try:
+            ep, phase, fidelity, worker, re_c, reward, beta, clipf = line.split(",")
+            rows.append({"episode": int(ep), "phase": phase, "fidelity": fidelity,
+                         "worker": int(worker), "re_c": float(re_c),
+                         "reward": float(reward),
+                         "beta": None if beta == "" else float(beta),
+                         "clip_fraction": float(clipf)})
+        except ValueError as exc:
+            raise SchemaError(f"{path}: malformed row at line {number}: {exc}") from exc
     return rows
 
 

@@ -83,32 +83,34 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
 
     inv2pi = 1.0 / TWO_PI
     us, vs = lnr * inv2pi, beta * inv2pi          # unit source, panel frame
-    uv, vv = -beta * inv2pi, lnr * inv2pi         # unit vortex (ccw-positive)
 
     # rotate to global frame
     us_g = us * cos_t[None, :] - vs * sin_t[None, :]
     vs_g = us * sin_t[None, :] + vs * cos_t[None, :]
-    uv_g = uv * cos_t[None, :] - vv * sin_t[None, :]
-    vv_g = uv * sin_t[None, :] + vv * cos_t[None, :]
+    # The unit vortex (ccw-positive) is the source rotated by 90 degrees,
+    # (uv, vv) = (-vs, us), so in the global frame uv_g == -vs_g and
+    # vv_g == us_g bitwise (IEEE rounding is sign-symmetric); the vortex
+    # terms below are written with the source influence alone.
 
     nx, ny = -sin_t, cos_t                        # outward normal (clockwise ordering)
     tx, ty = cos_t, sin_t
     v_inf = np.array([np.cos(alpha), np.sin(alpha)])
 
     a_src = nx[:, None] * us_g + ny[:, None] * vs_g
-    a_vor = (nx[:, None] * uv_g + ny[:, None] * vv_g).sum(axis=1)
     rhs_tan = -(nx * v_inf[0] + ny * v_inf[1])
 
     if kutta:
         a = np.zeros((n + 1, n + 1))
         b = np.zeros(n + 1)
         a[:n, :n] = a_src
-        a[:n, n] = a_vor
+        a[:n, n] = (ny[:, None] * us_g - nx[:, None] * vs_g).sum(axis=1)
         b[:n] = rhs_tan
-        t_src = tx[:, None] * us_g + ty[:, None] * vs_g
-        t_vor = (tx[:, None] * uv_g + ty[:, None] * vv_g).sum(axis=1)
-        a[n, :n] = t_src[0] + t_src[n - 1]
-        a[n, n] = t_vor[0] + t_vor[n - 1]
+        # Kutta condition: tangential velocities of the first and last panels
+        te = [0, n - 1]
+        t_src = tx[te, None] * us_g[te] + ty[te, None] * vs_g[te]
+        t_vor = (ty[te, None] * us_g[te] - tx[te, None] * vs_g[te]).sum(axis=1)
+        a[n, :n] = t_src[0] + t_src[1]
+        a[n, n] = t_vor[0] + t_vor[1]
         b[n] = -((tx[0] + tx[n - 1]) * v_inf[0] + (ty[0] + ty[n - 1]) * v_inf[1])
     else:
         a = a_src
@@ -128,8 +130,8 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
     q = sol[:n] if kutta else sol
     gamma = float(sol[n]) if kutta else 0.0
 
-    u_tot = v_inf[0] + us_g @ q + gamma * uv_g.sum(axis=1)
-    v_tot = v_inf[1] + vs_g @ q + gamma * vv_g.sum(axis=1)
+    u_tot = v_inf[0] + us_g @ q - gamma * vs_g.sum(axis=1)
+    v_tot = v_inf[1] + vs_g @ q + gamma * us_g.sum(axis=1)
     vt = tx * u_tot + ty * v_tot
     cp = 1.0 - vt * vt
 

@@ -1,0 +1,236 @@
+"""Reference implementations of the physics kernels, kept as test oracles.
+
+These are the straightforward versions that the optimised kernels in
+``mflight`` replaced: an O(n^2) all-pairs segment crossing test, a
+boundary-layer march on numpy scalars that calls Head's rates and the
+correlations as functions, and a panel assembly that rotates the vortex
+influence separately from the source influence. The tests assert that the
+optimised kernels give bit-identical results.
+"""
+
+import warnings
+
+import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+from mflight.boundary_layer import (
+    H_TURB_INIT,
+    H_TURB_SEP,
+    LAMBDA_SEP,
+    SEP_CHORD_LIMIT,
+    UE_FLOOR,
+    SurfaceMarch,
+    entrainment,
+    head_h,
+    head_h1,
+    ludwieg_tillmann_cf,
+    michel_retheta_crit,
+    squire_young_cd,
+    thwaites_correlations,
+)
+from mflight.errors import ConfigError, SolverError
+from mflight.panel import PIVOT_TOL, TWO_PI, PanelSolution, _panel_frames
+
+
+def segments_cross_reference(points: np.ndarray) -> bool:
+    """Vectorized proper-intersection test over all non-adjacent segment pairs."""
+    p = points[:-1]
+    q = points[1:]
+    n = len(p)
+    d = q - p
+
+    def cross(o, a, b):
+        # (a - o) x (b - o) for broadcastable stacks of points
+        return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
+            a[..., 1] - o[..., 1]
+        ) * (b[..., 0] - o[..., 0])
+
+    pi = p[:, None, :]
+    qi = q[:, None, :]
+    pj = p[None, :, :]
+    qj = q[None, :, :]
+    d1 = cross(pi, qi, pj)
+    d2 = cross(pi, qi, qj)
+    d3 = cross(pj, qj, pi)
+    d4 = cross(pj, qj, qi)
+    proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    idx = np.arange(n)
+    adjacent = np.abs(idx[:, None] - idx[None, :]) <= 1
+    # first and last segments share the closing node of the polyline
+    adjacent[0, n - 1] = adjacent[n - 1, 0] = True
+    return bool((proper & ~adjacent).any())
+
+
+def march_surface_reference(s: np.ndarray, ue: np.ndarray, x: np.ndarray, nu: float) -> SurfaceMarch:
+    """March the integral boundary layer along one surface.
+
+    ``s`` is arc length from the stagnation point (monotone increasing),
+    ``ue`` the edge-velocity magnitude at those stations, ``x`` the chordwise
+    position used for the separation cutoff, ``nu`` the kinematic viscosity
+    (1/Re_c in chord units).
+    """
+    s = np.asarray(s, dtype=float)
+    ue = np.maximum(np.asarray(ue, dtype=float), UE_FLOOR)
+    n = len(s)
+    due_ds = np.gradient(ue, s)
+
+    # Thwaites: theta^2 = 0.45 nu ue^-6 int ue^5 ds, with the stagnation-point limit
+    integrand = ue**5
+    integral = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s))])
+    theta_sq = 0.45 * nu * integral / ue**6
+    if due_ds[0] > 0.0:
+        theta_sq += 0.075 * nu / due_ds[0] * (ue[0] / ue) ** 6
+
+    transition_s = s[-1]
+    i_tr = n - 1
+    theta_tr = None
+    for i in range(n):
+        theta = float(np.sqrt(max(theta_sq[i], 0.0)))
+        lam = theta * theta * due_ds[i] / nu
+        re_theta = ue[i] * theta / nu
+        re_x = ue[i] * s[i] / nu
+        if i > 0 and (re_theta > michel_retheta_crit(re_x) or lam < LAMBDA_SEP):
+            i_tr = i
+            transition_s = float(s[i])
+            theta_tr = theta
+            break
+
+    if theta_tr is None:
+        # fully laminar to the trailing edge
+        theta_te = float(np.sqrt(max(theta_sq[-1], 0.0)))
+        lam_te = theta_te * theta_te * due_ds[-1] / nu
+        _, h_te = thwaites_correlations(lam_te)
+        return SurfaceMarch(theta=theta_te, shape_factor=h_te, ue_te=float(ue[-1]),
+                            cd=squire_young_cd(theta_te, float(ue[-1]), h_te),
+                            transition_s=transition_s, separated=False)
+
+    # turbulent segment: Head's entrainment method, RK2 on the station grid
+    theta = max(theta_tr, 1e-9)
+    h = H_TURB_INIT
+    separated = False
+    n_sub = 4
+
+    def rates(theta_v, h_v, ue_v, due_v):
+        theta_v = max(theta_v, 1e-12)
+        re_theta = ue_v * theta_v / nu
+        cf = ludwieg_tillmann_cf(h_v, re_theta)
+        h1 = head_h1(h_v)
+        dtheta = 0.5 * cf - (h_v + 2.0) * theta_v / ue_v * due_v
+        # d(ue theta H1)/ds = ue F  =>  dH1/ds from the product rule
+        dh1 = (entrainment(h1) * ue_v - h1 * (dtheta * ue_v + theta_v * due_v)) / (ue_v * theta_v)
+        return dtheta, dh1
+
+    h1 = head_h1(h)
+    for i in range(i_tr, n - 1):
+        ds = (s[i + 1] - s[i]) / n_sub
+        for j in range(n_sub):
+            frac = (j + 0.5) / n_sub
+            ue_v = ue[i] + frac * (ue[i + 1] - ue[i])
+            due_v = due_ds[i] + frac * (due_ds[i + 1] - due_ds[i])
+            k1t, k1h = rates(theta, h, ue_v, due_v)
+            k2t, k2h = rates(theta + 0.5 * ds * k1t, head_h(h1 + 0.5 * ds * k1h), ue_v, due_v)
+            theta = max(theta + ds * k2t, 1e-12)
+            h1 = max(h1 + ds * k2h, 3.32)
+            h = head_h(h1)
+        if h > H_TURB_SEP:
+            h = H_TURB_SEP
+            h1 = head_h1(h)
+            if x[i + 1] < SEP_CHORD_LIMIT:
+                separated = True
+
+    ue_te = float(ue[-1])
+    return SurfaceMarch(theta=float(theta), shape_factor=float(h), ue_te=ue_te,
+                        cd=squire_young_cd(float(theta), ue_te, float(h)),
+                        transition_s=transition_s, separated=separated)
+
+
+def solve_panel_reference(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> PanelSolution:
+    """Solve the surface singularity system for a closed polyline.
+
+    ``points`` is the (N+1, 2) node array with points[0] == points[-1];
+    ``alpha`` is the angle of attack in radians. Raises SolverError when the
+    LU factorization of the influence matrix hits a pivot below 1e-12.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ConfigError("points must be an (N+1, 2) array")
+    if not np.allclose(points[0], points[-1], atol=1e-12):
+        raise ConfigError("surface polyline must be closed")
+    n = points.shape[0] - 1
+    if n < 40:
+        raise ConfigError("panel count must be >= 40")
+
+    p0, length, cos_t, sin_t, mid = _panel_frames(points)
+
+    # midpoint i in the frame of panel j
+    dx = mid[:, 0][:, None] - p0[:, 0][None, :]
+    dy = mid[:, 1][:, None] - p0[:, 1][None, :]
+    xs = dx * cos_t[None, :] + dy * sin_t[None, :]
+    ys = -dx * sin_t[None, :] + dy * cos_t[None, :]
+    lj = length[None, :]
+
+    r0_sq = xs * xs + ys * ys
+    r1_sq = (xs - lj) ** 2 + ys * ys
+    lnr = 0.5 * np.log(r0_sq / r1_sq)
+    # subtended angle via atan2(cross, dot): branch-safe for exterior points
+    beta = np.arctan2(ys * lj, xs * (xs - lj) + ys * ys)
+    np.fill_diagonal(lnr, 0.0)
+    np.fill_diagonal(beta, np.pi)
+
+    inv2pi = 1.0 / TWO_PI
+    us, vs = lnr * inv2pi, beta * inv2pi          # unit source, panel frame
+    uv, vv = -beta * inv2pi, lnr * inv2pi         # unit vortex (ccw-positive)
+
+    # rotate to global frame
+    us_g = us * cos_t[None, :] - vs * sin_t[None, :]
+    vs_g = us * sin_t[None, :] + vs * cos_t[None, :]
+    uv_g = uv * cos_t[None, :] - vv * sin_t[None, :]
+    vv_g = uv * sin_t[None, :] + vv * cos_t[None, :]
+
+    nx, ny = -sin_t, cos_t                        # outward normal (clockwise ordering)
+    tx, ty = cos_t, sin_t
+    v_inf = np.array([np.cos(alpha), np.sin(alpha)])
+
+    a_src = nx[:, None] * us_g + ny[:, None] * vs_g
+    a_vor = (nx[:, None] * uv_g + ny[:, None] * vv_g).sum(axis=1)
+    rhs_tan = -(nx * v_inf[0] + ny * v_inf[1])
+
+    if kutta:
+        a = np.zeros((n + 1, n + 1))
+        b = np.zeros(n + 1)
+        a[:n, :n] = a_src
+        a[:n, n] = a_vor
+        b[:n] = rhs_tan
+        t_src = tx[:, None] * us_g + ty[:, None] * vs_g
+        t_vor = (tx[:, None] * uv_g + ty[:, None] * vv_g).sum(axis=1)
+        a[n, :n] = t_src[0] + t_src[n - 1]
+        a[n, n] = t_vor[0] + t_vor[n - 1]
+        b[n] = -((tx[0] + tx[n - 1]) * v_inf[0] + (ty[0] + ty[n - 1]) * v_inf[1])
+    else:
+        a = a_src
+        b = rhs_tan
+
+    try:
+        with warnings.catch_warnings():
+            # singularity is detected below via the pivot magnitudes
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(a)
+    except Exception as exc:  # LinAlgError on hard singularity
+        raise SolverError(f"influence matrix factorization failed: {exc}") from exc
+    if np.abs(np.diag(lu)).min() < PIVOT_TOL:
+        raise SolverError("influence matrix is singular (pivot below 1e-12)")
+    sol = lu_solve((lu, piv), b)
+
+    q = sol[:n] if kutta else sol
+    gamma = float(sol[n]) if kutta else 0.0
+
+    u_tot = v_inf[0] + us_g @ q + gamma * uv_g.sum(axis=1)
+    v_tot = v_inf[1] + vs_g @ q + gamma * vv_g.sum(axis=1)
+    vt = tx * u_tot + ty * v_tot
+    cp = 1.0 - vt * vt
+
+    # L' = -rho V Gamma_ccw; constant sheet density makes Gamma = gamma * perimeter
+    cl = -2.0 * gamma * float(length.sum())
+
+    return PanelSolution(cp=cp, vt=vt, cl=cl, x_mid=mid[:, 0], y_mid=mid[:, 1],
+                         source_strengths=np.asarray(q), vortex_strength=gamma)

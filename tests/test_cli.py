@@ -1,11 +1,15 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mflight import cli
 from mflight.agent import load_checkpoint
+from mflight.errors import CheckpointError
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def write_config(path, **overrides):
@@ -125,6 +129,18 @@ class TestEvaluate:
         assert code == 4
         assert not eval_out.exists()
 
+    def test_checkpoint_one_value_short_exits_4(self, tmp_path, capsys):
+        lines = (BENCH / "eval.ckpt").read_text().splitlines()
+        short = tmp_path / "short.ckpt"
+        short.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(short)
+        code = cli.main(["evaluate", "--checkpoint", str(short),
+                         "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
+                         "--episodes", "1", "--out", str(tmp_path / "ev")])
+        assert code == 4
+        assert "truncated checkpoint" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_self_comparison_zero_savings(self, tmp_path, scratch_run):
@@ -149,6 +165,21 @@ class TestCompare:
         code = cli.main(["compare", str(out), str(broken),
                          "--out", str(tmp_path / "t.csv")])
         assert code == 4
+
+    @pytest.mark.parametrize("bad_row", ["7,target,low,0", "x,target,low,0,1.0,-0.1,,0.0"])
+    def test_malformed_row_exits_4_naming_the_line(self, tmp_path, scratch_run, capsys,
+                                                   bad_row):
+        _, out = scratch_run
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "summary.txt").write_text((out / "summary.txt").read_text())
+        lines = (out / "episodes.csv").read_text().splitlines()
+        lines[4] = bad_row
+        (broken / "episodes.csv").write_text("\n".join(lines) + "\n")
+        code = cli.main(["compare", str(out), str(broken),
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 4
+        assert "line 5" in capsys.readouterr().err
 
     def test_needs_two_dirs(self, tmp_path, scratch_run):
         _, out = scratch_run

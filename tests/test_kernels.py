@@ -1,0 +1,173 @@
+"""The optimised physics kernels against their reference implementations.
+
+Each kernel must give bit-identical results to the straightforward version in
+``reference_kernels``: a changed last bit in any reward sends PPO down another
+trajectory, so the campaign artifacts would no longer reproduce.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from mflight import boundary_layer as bl
+from mflight.aeroenv import RE_FLOOR, low_fidelity_cd, make_environment
+from mflight.geometry import (
+    GeometryBounds,
+    _cosine_params,
+    _segments_cross,
+    _surface_basis,
+    bezier_eval,
+    build_airfoil,
+    decode,
+)
+from mflight.panel import solve_panel
+
+from conftest import symmetric_polygon
+from reference_kernels import (
+    march_surface_reference,
+    segments_cross_reference,
+    solve_panel_reference,
+)
+
+actions = hnp.arrays(np.float64, 13, elements=st.floats(-1.0, 1.0))
+reynolds = st.floats(RE_FLOOR, 1.1e7)
+MARCH_FIELDS = ("theta", "shape_factor", "ue_te", "cd", "transition_s", "separated")
+
+
+def widened_bounds() -> GeometryBounds:
+    """Default box, but the upper surface may dip below the lower one."""
+    lo = GeometryBounds().lo.copy()
+    hi = GeometryBounds().hi.copy()
+    lo[[1, 3, 5]] = -0.25
+    hi[[7, 9, 11]] = 0.25
+    return GeometryBounds(lo=lo, hi=hi)
+
+
+def monotone_points(design, bounds, n_points):
+    """The polyline of a design whose two surfaces are strictly x-monotone, else None."""
+    points = build_airfoil(decode(design, bounds), n_points).points
+    m = n_points // 2
+    x = points[:, 0]
+    if not (np.isfinite(points).all() and (np.diff(x[:m]) < 0).all()
+            and (np.diff(x[m - 1:]) > 0).all()):
+        return None
+    return points
+
+
+def bits(value) -> str:
+    return float(value).hex() if not math.isnan(value) else "nan"
+
+
+def assert_march_identical(s, ue, x, nu):
+    new = bl.march_surface(s, ue, x, nu)
+    ref = march_surface_reference(s, ue, x, nu)
+    for name in MARCH_FIELDS:
+        assert bits(getattr(new, name)) == bits(getattr(ref, name)), name
+    return new
+
+
+class TestSegmentsCross:
+    @settings(max_examples=300, deadline=None)
+    @given(design=actions, n_points=st.sampled_from([62, 202]))
+    def test_same_verdict_as_all_pairs(self, design, n_points):
+        points = monotone_points(design, widened_bounds(), n_points)
+        assume(points is not None)
+        assert _segments_cross(points) == segments_cross_reference(points)
+
+    def test_seeded_sweep_sees_both_verdicts(self):
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for design in rng.uniform(-1.0, 1.0, (300, 13)):
+            points = monotone_points(design, widened_bounds(), 202)
+            if points is None:
+                continue
+            verdict = _segments_cross(points)
+            assert verdict == segments_cross_reference(points)
+            verdicts.append(verdict)
+        assert len(verdicts) > 250
+        assert any(verdicts) and not all(verdicts)
+
+
+class TestSurfaceBasis:
+    @settings(max_examples=100, deadline=None)
+    @given(design=actions, n_points=st.sampled_from([62, 202]))
+    def test_cached_basis_equals_bezier_eval(self, design, n_points):
+        polygon = decode(design, GeometryBounds())
+        m = n_points // 2
+        basis = _surface_basis(m)
+        assert not basis.flags.writeable
+        for ctrl in (polygon.upper_curve(), polygon.lower_curve()):
+            assert np.array_equal(basis @ ctrl, bezier_eval(ctrl, _cosine_params(m)))
+
+
+class TestMarch:
+    @settings(max_examples=150, deadline=None)
+    @given(design=actions, re_c=reynolds)
+    def test_bitwise_on_panel_surfaces(self, design, re_c):
+        shape = build_airfoil(decode(design, GeometryBounds()), 202)
+        assume(shape.valid)
+        sol = solve_panel(shape.points)
+        for s, ue, x in bl.split_surfaces(sol.x_mid, sol.y_mid, sol.vt):
+            assert_march_identical(s, ue, x, 1.0 / re_c)
+
+    def test_bitwise_on_every_branch(self):
+        s = np.linspace(1e-4, 1.0, 300)
+        # laminar to the trailing edge, transition, turbulent separation
+        laminar = assert_march_identical(s, np.ones_like(s), s, 1e-4)
+        assert laminar.transition_s == s[-1]
+        turbulent = assert_march_identical(s, np.ones_like(s), s, 1e-7)
+        assert turbulent.transition_s < s[-1]
+        separated = assert_march_identical(s, 1.0 - 0.85 * s, s, 1e-7)
+        assert separated.separated
+
+
+class TestSolvePanel:
+    @settings(max_examples=100, deadline=None)
+    @given(design=actions, n_points=st.sampled_from([62, 202]),
+           alpha=st.floats(-0.1, 0.1))
+    def test_equal_to_reference_assembly(self, design, n_points, alpha):
+        shape = build_airfoil(decode(design, GeometryBounds()), n_points)
+        assume(shape.valid)
+        new = solve_panel(shape.points, alpha=alpha)
+        ref = solve_panel_reference(shape.points, alpha=alpha)
+        assert np.array_equal(new.cp, ref.cp)
+        assert np.array_equal(new.vt, ref.vt)
+        assert new.cl == ref.cl
+        assert np.array_equal(new.source_strengths, ref.source_strengths)
+        assert new.vortex_strength == ref.vortex_strength
+
+    def test_equal_without_kutta(self):
+        theta = np.linspace(0.0, -2.0 * np.pi, 81)
+        points = np.column_stack([np.cos(theta), np.sin(theta)])
+        points[-1] = points[0]
+        new = solve_panel(points, kutta=False)
+        ref = solve_panel_reference(points, kutta=False)
+        assert np.array_equal(new.cp, ref.cp) and np.array_equal(new.vt, ref.vt)
+
+
+class TestLowFidelityReward:
+    """The low-fidelity reward runs no panel solve; that moves no reward."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(design=actions, re_c=st.floats(RE_FLOOR, 1e8))
+    def test_reward_equals_solved_drag(self, design, re_c):
+        env = make_environment("low")
+        shape = env.build_shape(design)
+        assume(shape.valid)
+        # every valid 60-panel shape solves, so the solve could never penalize
+        solved = low_fidelity_cd(shape, re_c)
+        reward, info = env.step(design, re_c)
+        assert reward == -solved.cd
+        assert info["converged"] and info["cl"] is None
+
+    def test_evaluate_still_solves(self):
+        env = make_environment("low")
+        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)
+        result = env.evaluate(shape, 6e6)
+        assert result.cl == pytest.approx(0.0, abs=1e-9)
+        assert len(result.cp) == 60
+        assert env.eval_count == 1
