@@ -26,8 +26,8 @@ for update in range(500):
     rewards = -(a - 0.3) ** 2
     values = value(snapshot, states)
     stats = trainer.update(ExperienceBatch(
-        states=states, actions=actions, log_probs_old=logp, rewards=rewards,
-        values_old=values, advantages=rewards - values, returns=rewards))
+        states=states, actions=actions, log_probs_old=logp,
+        advantages=rewards - values, returns=rewards))
     if update % 50 == 0 or update == 499:
         m, s = forward_policy(trainer.params, 0.0)
         print(f"{update:6d} {m[0]:8.4f} {s[0]:7.4f} {rewards.mean():9.5f} "

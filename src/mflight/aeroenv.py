@@ -8,7 +8,9 @@ panel solve there, and the panel solution is computed only where Cp and Cl
 are reported (``Environment.evaluate``). The high-fidelity model marches an
 integral boundary layer over the panel edge velocities and closes with
 Squire-Young. One ``step`` call is one complete episode (the flow solve IS
-the episode).
+the episode). With ``workers`` > 1 one environment serves all of a round's
+worker threads; its evaluation counter is its only mutable state and is
+guarded by a lock.
 """
 
 from __future__ import annotations
@@ -111,8 +113,8 @@ def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0) -> Ae
 class Environment:
     """One fidelity tier of the design environment.
 
-    Immutable after construction apart from the evaluation counter; safe to
-    call from multiple workers.
+    Immutable after construction apart from the locked evaluation counter;
+    safe to call from several worker threads at once.
     """
 
     fidelity: str

@@ -9,8 +9,9 @@ to [-1, 1] before they reach the environment.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,21 +178,6 @@ def act(params: PolicyParams, state: float, rng: np.random.Generator) -> Gaussia
     return GaussianAction(action=a, log_prob=log_prob, clipped_action=np.clip(a, -1.0, 1.0))
 
 
-def compute_return(rewards, gamma: float):
-    """Discounted returns G_t = sum_k gamma^(k-t) r_k for one episode."""
-    g = 0.0
-    out = [0.0] * len(rewards)
-    for t in range(len(rewards) - 1, -1, -1):
-        g = rewards[t] + gamma * g
-        out[t] = g
-    return out
-
-
-def advantage(reward: float, value_estimate: float) -> float:
-    """Single-step advantage: with one-shot episodes Q(s,a) = r, so A = r - V."""
-    return reward - value_estimate
-
-
 # ---------------------------------------------------------------------------
 # checkpoints: versioned plain text, bit-exact float64 round trip
 # ---------------------------------------------------------------------------
@@ -228,8 +214,13 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         if not parts or parts[0] != "array" or len(parts) < 3:
             raise CheckpointError(f"malformed declaration at line {i + 1} of {path}")
         name = parts[1]
-        shape = tuple(int(d) for d in parts[2:])
-        count = 1 if shape == (0,) else int(np.prod(shape))
+        try:
+            shape = tuple(int(d) for d in parts[2:])
+        except ValueError as exc:
+            raise CheckpointError(f"bad dimensions at line {i + 1} of {path}: {exc}") from exc
+        if min(shape) < 0:
+            raise CheckpointError(f"negative dimension at line {i + 1} of {path}")
+        count = 1 if shape == (0,) else math.prod(shape)
         i += 1
         if i + count > len(lines):
             raise CheckpointError(f"truncated checkpoint {path}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import orchestrator as orch
-from .aeroenv import StateDistribution, make_environment, write_cp_csv
+from .aeroenv import StateDistribution, write_cp_csv
 from .agent import load_checkpoint
 from .errors import CheckpointError, ConfigError, MflightError, RunError, SchemaError
 from .geometry import write_selig
@@ -87,11 +87,8 @@ def cmd_train(args) -> int:
         if params is None:
             continue
         spec = cfg.source if phase == "source" else cfg.target
-        n_points = cfg.n_points_low if spec.fidelity == "low" else cfg.n_points_high
-        env = make_environment(spec.fidelity, bounds=cfg.bounds, alpha=cfg.alpha,
-                               blend_fraction=cfg.blend_fraction, n_points=n_points)
-        result = orch.evaluate_policy(params, spec.dist, env, 0, cfg.seed,
-                                      report.state_ref, cfg.penalty)
+        result = orch.evaluate_policy(params, spec.dist, cfg.environment(spec.fidelity), 0,
+                                      cfg.seed, report.state_ref, cfg.penalty)
         write_selig(result.mean_shape, os.path.join(args.out, f"airfoil_{phase}_mean.dat"))
     log.info("campaign complete: %d episodes logged to %s", len(report.rows), args.out)
     return EXIT_OK
@@ -105,10 +102,7 @@ def cmd_evaluate(args) -> int:
     dist, fidelity, episodes = _eval_settings(doc)
     if args.episodes is not None:
         episodes = args.episodes
-    n_points = cfg.n_points_low if fidelity == "low" else cfg.n_points_high
-    env = make_environment(fidelity, bounds=cfg.bounds, alpha=cfg.alpha,
-                           blend_fraction=cfg.blend_fraction, n_points=n_points)
-    result = orch.evaluate_policy(params, dist, env, episodes, cfg.seed,
+    result = orch.evaluate_policy(params, dist, cfg.environment(fidelity), episodes, cfg.seed,
                                   cfg.resolve_state_ref(), cfg.penalty)
 
     os.makedirs(args.out, exist_ok=True)

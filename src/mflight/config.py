@@ -33,7 +33,7 @@ _REFERENCE: dict = {
     "schema_version": (SCHEMA_VERSION, "config document schema version"),
     "mode": ("scratch", "scratch | single_fidelity_ctl | multi_fidelity_ctl"),
     "seed": (0, "global seed; every logged number is a function of (config, seed)"),
-    "workers": (4, "parallel episode workers W; pure throughput knob"),
+    "workers": (4, "episode workers W: threads per round and the episodes.csv worker column"),
     "episodes_per_update": (20, "episodes pooled per policy update (T_L)"),
     "penalty": (-0.1, "reward for invalid or non-converged episodes"),
     "source": dict(_PHASE_DOC),
@@ -49,7 +49,6 @@ _REFERENCE: dict = {
         "entropy_coeff": (0.0, "entropy bonus coefficient"),
         "value_coeff": (0.5, "value-loss coefficient"),
         "max_grad_norm": (0.5, "global gradient-norm clip"),
-        "gamma": (0.99, "discount factor (inert for one-step episodes)"),
         "kl_stop": (0.05, "stop an update's epochs when the KL estimate exceeds this"),
     },
     "ctl": {

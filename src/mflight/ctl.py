@@ -1,8 +1,9 @@
 """Controlled transfer learning: the reward variance-ratio completion test.
 
 After every episode the controller computes the population variance of the
-trailing reward window and divides it by the running maximum of all window
-variances so far. The ratio starts at 1, decays as learning settles, and once
+trailing reward window and divides it by the running maximum of the window
+variances so far, taken over full windows only once the first full window
+exists. The ratio starts at 1, decays as learning settles, and once
 it drops to the cut-off (with at least a full window of history) the source
 task is declared complete and the policy parameters may be transferred.
 """
@@ -38,6 +39,7 @@ class TransferController:
     beta_history: list = field(default_factory=list)
     complete: bool = False
     complete_episode: int | None = None
+    xi_max: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -60,15 +62,15 @@ class TransferController:
         e = len(self.reward_history)
         xi = window_statistic(self.reward_history[-min(e, self.k):])
         self.xi_history.append(xi)
+        # the max restarts at the first full window: variances of the short
+        # warm-up windows scatter far above the true level and would otherwise
+        # make the ratio dip spuriously on stationary noise
+        if e == 1 or e == self.k or xi > self.xi_max:
+            self.xi_max = xi
         if e == 1:
             beta = 1.0
         else:
-            # the max runs over full windows once they exist: variances of the
-            # short warm-up windows scatter far above the true level and would
-            # otherwise make the ratio dip spuriously on stationary noise
-            pool = self.xi_history[self.k - 1:] if e >= self.k else self.xi_history
-            xi_max = max(pool)
-            beta = 0.0 if xi_max <= VARIANCE_FLOOR else xi / xi_max
+            beta = 0.0 if self.xi_max <= VARIANCE_FLOOR else xi / self.xi_max
         self.beta_history.append(beta)
         if not self.complete and beta <= self.gamma_cut and e >= self.k:
             self.complete = True

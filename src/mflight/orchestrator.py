@@ -1,11 +1,12 @@
 """Training campaigns: source-phase learning, CTL-gated transfer, target phase.
 
-Episodes are farmed out to workers in blocks of T_L/W per round, each episode
-drawing from its own RNG stream keyed by (seed, phase, global episode index).
-The worker count is therefore a pure throughput knob: W=1 and W=4 produce
-bit-identical merged batches, and every logged number is a function of
-(seed, config) alone. Collection, the PPO update, and the per-episode
-controller updates are serialized on the coordinator.
+Each round splits T_L episodes into W blocks of T_L/W; with W > 1 the blocks
+run on W threads. Every episode draws from its own RNG stream keyed by (seed,
+phase, global episode index), so W=1 and W=4 produce bit-identical merged
+batches: the worker count sets the thread count and the ``worker`` column of
+the episode log, and every other logged number is a function of (seed,
+config) alone. Collection, the PPO update, and the per-episode controller
+updates are serialized on the coordinator.
 """
 
 from __future__ import annotations
@@ -111,6 +112,12 @@ class RunConfig:
         dist = self.source.dist if self.source is not None else self.target.dist
         return (dist.mu, dist.sigma)
 
+    def environment(self, fidelity: str) -> Environment:
+        """The environment of one fidelity tier, at that tier's surface resolution."""
+        n_points = self.n_points_low if fidelity == "low" else self.n_points_high
+        return make_environment(fidelity, bounds=self.bounds, alpha=self.alpha,
+                                blend_fraction=self.blend_fraction, n_points=n_points)
+
 
 def normalize_state(re_c: float, ref: tuple[float, float]) -> float:
     mu_ref, sigma_ref = ref
@@ -124,16 +131,6 @@ def episode_rng(seed: int, phase: str, episode_index: int) -> np.random.Generato
     return np.random.default_rng([seed, PHASE_IDS[phase], episode_index])
 
 
-def _effective_threads(workers: int) -> int:
-    cap = os.environ.get("MFLIGHT_THREADS", "")
-    if cap:
-        try:
-            return max(1, min(workers, int(cap)))
-        except ValueError:
-            pass
-    return workers
-
-
 def run_episode(env: Environment, params: PolicyParams, dist: StateDistribution,
                 ref: tuple[float, float], rng: np.random.Generator,
                 penalty: float) -> EpisodeRecord:
@@ -143,8 +140,7 @@ def run_episode(env: Environment, params: PolicyParams, dist: StateDistribution,
     v = value(params, state)
     reward, info = env.step(DesignVector(ga.clipped_action), re_c, penalty)
     return EpisodeRecord(state=state, action=ga.action, log_prob_old=ga.log_prob,
-                         reward=reward, value_old=v, advantage=reward - v,
-                         ret=reward, re_c=re_c, info=info)
+                         reward=reward, value_old=v, re_c=re_c, info=info)
 
 
 def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
@@ -164,10 +160,9 @@ def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
             records.append(rec)
         return records
 
-    threads = _effective_threads(cfg.workers)
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if cfg.workers > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 blocks = list(pool.map(run_block, range(cfg.workers)))
         else:
             blocks = [run_block(w) for w in range(cfg.workers)]
@@ -307,13 +302,8 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
                          hidden=tuple(cfg.hidden), log_std_init=cfg.log_std_init)
     trainer = PpoTrainer(params, cfg.ppo)
 
-    def env_for(phase: PhaseSpec) -> Environment:
-        n_points = cfg.n_points_low if phase.fidelity == "low" else cfg.n_points_high
-        return make_environment(phase.fidelity, bounds=cfg.bounds, alpha=cfg.alpha,
-                                blend_fraction=cfg.blend_fraction, n_points=n_points)
-
-    target_env = env_for(cfg.target)
-    source_env = env_for(cfg.source) if cfg.source is not None else None
+    target_env = cfg.environment(cfg.target.fidelity)
+    source_env = cfg.environment(cfg.source.fidelity) if cfg.source is not None else None
 
     checkpoints: dict[str, str] = {}
     controller = None

@@ -31,7 +31,6 @@ class PpoConfig:
     entropy_coeff: float = 0.0
     value_coeff: float = 0.5
     max_grad_norm: float = 0.5
-    gamma: float = 0.99          # inert for one-step episodes
     kl_stop: float = 0.05
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class EpisodeRecord:
     log_prob_old: float
     reward: float
     value_old: float
-    advantage: float
-    ret: float
     re_c: float = 0.0
     worker: int = 0
     info: dict = field(default_factory=dict)
@@ -62,10 +59,8 @@ class ExperienceBatch:
     states: np.ndarray      # (B, 1)
     actions: np.ndarray     # (B, D)
     log_probs_old: np.ndarray
-    rewards: np.ndarray
-    values_old: np.ndarray
     advantages: np.ndarray  # raw r - V, normalized at loss time
-    returns: np.ndarray
+    returns: np.ndarray     # one-step episodes: the return is the reward
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -74,14 +69,13 @@ class ExperienceBatch:
     def from_records(cls, records: list[EpisodeRecord]) -> "ExperienceBatch":
         if not records:
             raise EmptyBatch("cannot assemble a batch from zero records")
+        rewards = np.array([r.reward for r in records])
         return cls(
             states=np.array([[r.state] for r in records]),
             actions=np.vstack([r.action for r in records]),
             log_probs_old=np.array([r.log_prob_old for r in records]),
-            rewards=np.array([r.reward for r in records]),
-            values_old=np.array([r.value_old for r in records]),
-            advantages=np.array([r.advantage for r in records]),
-            returns=np.array([r.ret for r in records]),
+            advantages=rewards - np.array([r.value_old for r in records]),
+            returns=rewards,
         )
 
 

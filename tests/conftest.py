@@ -69,7 +69,6 @@ def random_batch(rng, params, size=6):
     adv = rewards - values
     adv = (adv - adv.mean()) / adv.std()
     return ppo.ExperienceBatch(states=states, actions=actions, log_probs_old=logp_old,
-                               rewards=rewards, values_old=values,
                                advantages=adv, returns=rewards)
 
 

@@ -3,9 +3,10 @@
 These are the straightforward versions that the optimised kernels in
 ``mflight`` replaced: an O(n^2) all-pairs segment crossing test, a
 boundary-layer march on numpy scalars that calls Head's rates and the
-correlations as functions, and a panel assembly that rotates the vortex
-influence separately from the source influence. The tests assert that the
-optimised kernels give bit-identical results.
+correlations as functions, a panel assembly that rotates the vortex
+influence separately from the source influence, and a variance ratio that
+takes the max over the whole pool of window variances at every episode. The
+tests assert that the optimised kernels give bit-identical results.
 """
 
 import warnings
@@ -28,6 +29,7 @@ from mflight.boundary_layer import (
     squire_young_cd,
     thwaites_correlations,
 )
+from mflight.ctl import VARIANCE_FLOOR, window_statistic
 from mflight.errors import ConfigError, SolverError
 from mflight.panel import PIVOT_TOL, TWO_PI, PanelSolution, _panel_frames
 
@@ -234,3 +236,19 @@ def solve_panel_reference(points: np.ndarray, alpha: float = 0.0, kutta: bool = 
 
     return PanelSolution(cp=cp, vt=vt, cl=cl, x_mid=mid[:, 0], y_mid=mid[:, 1],
                          source_strengths=np.asarray(q), vortex_strength=gamma)
+
+
+def variance_ratios_reference(rewards, k: int) -> list[float]:
+    """The controller's beta sequence, with the max recomputed over its pool each episode."""
+    xi_history, betas = [], []
+    for e in range(1, len(rewards) + 1):
+        xi = window_statistic(rewards[e - min(e, k):e])
+        xi_history.append(xi)
+        if e == 1:
+            beta = 1.0
+        else:
+            pool = xi_history[k - 1:] if e >= k else xi_history
+            xi_max = max(pool)
+            beta = 0.0 if xi_max <= VARIANCE_FLOOR else xi / xi_max
+        betas.append(beta)
+    return betas

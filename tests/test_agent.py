@@ -7,8 +7,6 @@ from mflight.agent import (
     GaussianAction,
     Mlp,
     act,
-    advantage,
-    compute_return,
     forward_policy,
     gaussian_log_prob,
     init_params,
@@ -106,20 +104,6 @@ class TestAct:
 
 
 class TestReturns:
-    def test_single_reward_any_gamma(self):
-        for gamma in (0.0, 0.5, 0.99, 1.0):
-            assert compute_return([-0.0123], gamma) == [-0.0123]
-
-    def test_gamma_zero_truncates(self):
-        assert compute_return([1.0, 1.0, 1.0], 0.0) == [1.0, 1.0, 1.0]
-
-    def test_hand_summed_series(self):
-        assert compute_return([1.0, 2.0, 4.0], 0.5) == [3.0, 4.0, 4.0]
-
-    def test_advantage_arithmetic(self):
-        assert advantage(-0.01, -0.02) == pytest.approx(0.01)
-        assert advantage(0.5, 0.5) == 0.0
-
     def test_advantage_normalization_statistics(self):
         rng = np.random.default_rng(10)
         adv = normalize_advantages(rng.standard_normal(512) * 0.003 - 0.01)

@@ -141,6 +141,23 @@ class TestEvaluate:
         assert code == 4
         assert "truncated checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", ["1 x", "-1"])
+    def test_malformed_dimensions_exit_4(self, tmp_path, capsys, dims):
+        # a negative count would send the reader back to the declaration line forever
+        lines = (BENCH / "eval.ckpt").read_text().splitlines()
+        assert lines[1].startswith("array policy.w0 ")
+        lines[1] = f"array policy.w0 {dims}"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="at line 2 of"):
+            load_checkpoint(bad)
+        code = cli.main(["evaluate", "--checkpoint", str(bad),
+                         "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
+                         "--episodes", "1", "--out", str(tmp_path / "ev")])
+        assert code == 4
+        assert "dimension" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
 
 class TestCompare:
     def test_self_comparison_zero_savings(self, tmp_path, scratch_run):

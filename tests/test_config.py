@@ -30,10 +30,12 @@ class TestValidation:
             config_mod.validate_document(doc)
 
     def test_unknown_nested_key_rejected(self):
-        doc = minimal_doc()
-        doc["ppo"] = {"lr": 1e-3}
-        with pytest.raises(ConfigError, match="unknown config key ppo.lr"):
-            config_mod.validate_document(doc)
+        # one-step episodes have no discount factor, so ppo.gamma is no key
+        for key in ("lr", "gamma"):
+            doc = minimal_doc()
+            doc["ppo"] = {key: 0.99}
+            with pytest.raises(ConfigError, match=f"unknown config key ppo.{key}"):
+                config_mod.validate_document(doc)
 
     def test_wrong_schema_version_rejected(self):
         doc = minimal_doc()

@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mflight import boundary_layer as bl
 from mflight.aeroenv import RE_FLOOR, low_fidelity_cd, make_environment
+from mflight.ctl import TransferController
 from mflight.geometry import (
     GeometryBounds,
     _cosine_params,
@@ -31,10 +32,13 @@ from reference_kernels import (
     march_surface_reference,
     segments_cross_reference,
     solve_panel_reference,
+    variance_ratios_reference,
 )
 
 actions = hnp.arrays(np.float64, 13, elements=st.floats(-1.0, 1.0))
 reynolds = st.floats(RE_FLOOR, 1.1e7)
+# repeated levels give ties and all-equal windows (zero variance)
+ctl_rewards = st.one_of(st.floats(-0.1, 0.0), st.sampled_from([-0.1, -0.01, 0.0]))
 MARCH_FIELDS = ("theta", "shape_factor", "ue_te", "cd", "transition_s", "separated")
 
 
@@ -171,3 +175,18 @@ class TestLowFidelityReward:
         assert result.cl == pytest.approx(0.0, abs=1e-9)
         assert len(result.cp) == 60
         assert env.eval_count == 1
+
+
+class TestVarianceRatio:
+    """The controller's running max gives the pool max's beta sequence bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rewards=st.lists(ctl_rewards, min_size=1, max_size=150), k=st.integers(1, 60))
+    @example(rewards=[-0.1, -0.01, -0.05, -0.05, 0.0, -0.02], k=1)
+    @example(rewards=[-0.1, 0.0, -0.1, -0.01, -0.011, -0.012, -0.01], k=3)
+    def test_bitwise_equal_to_pool_max(self, rewards, k):
+        ctrl = TransferController(k=k)
+        betas = [ctrl.update(r) for r in rewards]
+        expected = variance_ratios_reference(rewards, k)
+        assert [bits(b) for b in betas] == [bits(b) for b in expected]
+        assert [bits(b) for b in ctrl.beta_history] == [bits(b) for b in expected]

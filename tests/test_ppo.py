@@ -53,8 +53,6 @@ def single_record_batch(params, adv, ratio, eps_state=0.0):
         states=np.array([[eps_state]]),
         actions=action[None, :],
         log_probs_old=np.array([logp_new - np.log(ratio)]),
-        rewards=np.array([0.0]),
-        values_old=np.array([0.0]),
         advantages=np.array([adv]),
         returns=np.array([0.0]),
     )
@@ -125,8 +123,7 @@ class TestClippedSurrogate:
     def test_empty_batch_raises(self):
         params = random_small_params(np.random.default_rng(6))
         batch = ExperienceBatch(states=np.zeros((0, 1)), actions=np.zeros((0, 3)),
-                                log_probs_old=np.zeros(0), rewards=np.zeros(0),
-                                values_old=np.zeros(0), advantages=np.zeros(0),
+                                log_probs_old=np.zeros(0), advantages=np.zeros(0),
                                 returns=np.zeros(0))
         with pytest.raises(EmptyBatch):
             clipped_surrogate(batch, params, PpoConfig())
@@ -181,8 +178,7 @@ class TestUpdate:
             rewards = actions[:, 0]  # higher action, higher reward
             values = np.zeros(20)
             batch = ExperienceBatch(states=np.zeros((20, 1)), actions=actions,
-                                    log_probs_old=logp, rewards=rewards,
-                                    values_old=values, advantages=rewards - values,
+                                    log_probs_old=logp, advantages=rewards - values,
                                     returns=rewards)
             trainer.update(batch)
         mean1 = float(forward_policy(trainer.params, 0.0)[0][0])
@@ -273,8 +269,7 @@ def toy_quadratic_run(seed, updates=500, batch=40):
         rewards = -(a - 0.3) ** 2
         values = agent.value(snap, states)
         trainer.update(ExperienceBatch(states=states, actions=actions,
-                                       log_probs_old=logp, rewards=rewards,
-                                       values_old=values, advantages=rewards - values,
+                                       log_probs_old=logp, advantages=rewards - values,
                                        returns=rewards))
     return float(forward_policy(trainer.params, 0.0)[0][0])
 
