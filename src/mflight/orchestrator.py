@@ -28,7 +28,7 @@ from .agent import (
     save_checkpoint,
     value,
 )
-from .errors import ConfigError, RunError, SchemaError
+from .errors import ConfigError, RunError, SchemaError, SolverError
 from .geometry import AirfoilShape, DesignVector, GeometryBounds
 from .ppo import EpisodeRecord, ExperienceBatch, PpoConfig, PpoTrainer
 
@@ -407,7 +407,7 @@ def evaluate_policy(params: PolicyParams, dist: StateDistribution, env: Environm
     if mean_shape.valid:
         try:
             mean_aero = env.evaluate(mean_shape, dist.mu)
-        except Exception:
+        except SolverError:
             mean_aero = None
     return EvalResult(rewards=rewards, summary=summary, mean_action=mean_action,
                       mean_shape=mean_shape, mean_aero=mean_aero)

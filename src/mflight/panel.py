@@ -18,6 +18,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .errors import ConfigError, SolverError
 
 PIVOT_TOL = 1e-12
+CLOSURE_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
 
 
@@ -58,7 +59,8 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ConfigError("points must be an (N+1, 2) array")
-    if not np.allclose(points[0], points[-1], atol=1e-12):
+    # a strict absolute test; written so that NaN fails it
+    if not (np.abs(points[0] - points[-1]) <= CLOSURE_TOL).all():
         raise ConfigError("surface polyline must be closed")
     n = points.shape[0] - 1
     if n < 40:
@@ -66,27 +68,44 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
 
     p0, length, cos_t, sin_t, mid = _panel_frames(points)
 
-    # midpoint i in the frame of panel j
+    # The n x n work runs in five buffers local to the call (threads solve
+    # concurrently), written in place. Every element sees the IEEE operations
+    # of the textbook assembly, reordered only where that is exact:
+    # (-a)*b == -(a*b), (-p)+q == q-p, x**2 == x*x and (0.5*L)*c == L*(0.5*c).
+    # midpoint i in the frame of panel j: xs = dx cos + dy sin, ys = dy cos - dx sin
     dx = mid[:, 0][:, None] - p0[:, 0][None, :]
     dy = mid[:, 1][:, None] - p0[:, 1][None, :]
-    xs = dx * cos_t[None, :] + dy * sin_t[None, :]
-    ys = -dx * sin_t[None, :] + dy * cos_t[None, :]
-    lj = length[None, :]
+    xs = dx * cos_t
+    w = dy * sin_t
+    xs += w
+    ys = np.multiply(dy, cos_t, out=dy)
+    ys -= np.multiply(dx, sin_t, out=dx)
+    ys2 = np.multiply(ys, ys, out=w)
+    xm = np.subtract(xs, length, out=dx)          # xs - l_j
 
-    r0_sq = xs * xs + ys * ys
-    r1_sq = (xs - lj) ** 2 + ys * ys
-    lnr = 0.5 * np.log(r0_sq / r1_sq)
     # subtended angle via atan2(cross, dot): branch-safe for exterior points
-    beta = np.arctan2(ys * lj, xs * (xs - lj) + ys * ys)
-    np.fill_diagonal(lnr, 0.0)
+    dot = np.multiply(xs, xm, out=np.empty_like(xs))
+    dot += ys2
+    beta = np.arctan2(np.multiply(ys, length, out=ys), dot, out=dot)
     np.fill_diagonal(beta, np.pi)
+    # 2 ln(r0 / r1) with r0^2 = xs^2 + ys^2 and r1^2 = xm^2 + ys^2
+    r0_sq = np.multiply(xs, xs, out=xs)
+    r0_sq += ys2
+    r1_sq = np.multiply(xm, xm, out=xm)
+    r1_sq += ys2
+    two_lnr = np.log(np.divide(r0_sq, r1_sq, out=r0_sq), out=r0_sq)
+    np.fill_diagonal(two_lnr, 0.0)
 
     inv2pi = 1.0 / TWO_PI
-    us, vs = lnr * inv2pi, beta * inv2pi          # unit source, panel frame
+    us = np.multiply(two_lnr, 0.5 * inv2pi, out=two_lnr)  # unit source, panel frame
+    vs = np.multiply(beta, inv2pi, out=beta)
 
-    # rotate to global frame
-    us_g = us * cos_t[None, :] - vs * sin_t[None, :]
-    vs_g = us * sin_t[None, :] + vs * cos_t[None, :]
+    # rotate to the global frame: us_g = us cos - vs sin, vs_g = us sin + vs cos
+    us_g = np.multiply(us, cos_t, out=r1_sq)
+    us_g -= np.multiply(vs, sin_t, out=ys)
+    vs_g = np.multiply(us, sin_t, out=us)
+    vs_g += np.multiply(vs, cos_t, out=vs)
+    w1, w2 = ys, ys2                              # free from here on
     # The unit vortex (ccw-positive) is the source rotated by 90 degrees,
     # (uv, vv) = (-vs, us), so in the global frame uv_g == -vs_g and
     # vv_g == us_g bitwise (IEEE rounding is sign-symmetric); the vortex
@@ -95,32 +114,37 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
     nx, ny = -sin_t, cos_t                        # outward normal (clockwise ordering)
     tx, ty = cos_t, sin_t
     v_inf = np.array([np.cos(alpha), np.sin(alpha)])
-
-    a_src = nx[:, None] * us_g + ny[:, None] * vs_g
     rhs_tan = -(nx * v_inf[0] + ny * v_inf[1])
 
+    # assembled in Fortran order, so that the LU factorizes it in place
+    m = n + 1 if kutta else n
+    a = np.empty((m, m), order="F")
     if kutta:
-        a = np.zeros((n + 1, n + 1))
-        b = np.zeros(n + 1)
-        a[:n, :n] = a_src
-        a[:n, n] = (ny[:, None] * us_g - nx[:, None] * vs_g).sum(axis=1)
+        b = np.empty(n + 1)
         b[:n] = rhs_tan
+        # normal vortex influence ny us_g - nx vs_g, summed along C-contiguous
+        # rows (numpy's pairwise sum depends on the layout); row i is also the
+        # tangential source influence at panel i
+        t_row = np.multiply(tx[:, None], us_g, out=w1)
+        t_row += np.multiply(ty[:, None], vs_g, out=w2)
+        a[:n, n] = t_row.sum(axis=1)
         # Kutta condition: tangential velocities of the first and last panels
         te = [0, n - 1]
-        t_src = tx[te, None] * us_g[te] + ty[te, None] * vs_g[te]
         t_vor = (ty[te, None] * us_g[te] - tx[te, None] * vs_g[te]).sum(axis=1)
-        a[n, :n] = t_src[0] + t_src[1]
+        a[n, :n] = t_row[0] + t_row[n - 1]
         a[n, n] = t_vor[0] + t_vor[1]
         b[n] = -((tx[0] + tx[n - 1]) * v_inf[0] + (ty[0] + ty[n - 1]) * v_inf[1])
     else:
-        a = a_src
         b = rhs_tan
+    # normal source influence nx us_g + ny vs_g, with nx = -sin
+    np.subtract(np.multiply(ny[:, None], vs_g, out=w1),
+                np.multiply(sin_t[:, None], us_g, out=w2), out=a[:n, :n])
 
     try:
         with warnings.catch_warnings():
             # singularity is detected below via the pivot magnitudes
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(a)
+            lu, piv = lu_factor(a, overwrite_a=True)
     except Exception as exc:  # LinAlgError on hard singularity
         raise SolverError(f"influence matrix factorization failed: {exc}") from exc
     if np.abs(np.diag(lu)).min() < PIVOT_TOL:

@@ -144,8 +144,9 @@ class TestSolvePanel:
         assert np.array_equal(new.source_strengths, ref.source_strengths)
         assert new.vortex_strength == ref.vortex_strength
 
-    def test_equal_without_kutta(self):
-        theta = np.linspace(0.0, -2.0 * np.pi, 81)
+    @pytest.mark.parametrize("n_panels", [80, 200])
+    def test_equal_without_kutta(self, n_panels):
+        theta = np.linspace(0.0, -2.0 * np.pi, n_panels + 1)
         points = np.column_stack([np.cos(theta), np.sin(theta)])
         points[-1] = points[0]
         new = solve_panel(points, kutta=False)

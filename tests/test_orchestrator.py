@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from mflight import agent
 from mflight.aeroenv import StateDistribution, make_environment
 from mflight.agent import load_checkpoint
-from mflight.errors import ConfigError, RunError, SchemaError
+from mflight.errors import ConfigError, RunError, SchemaError, SolverError
 from mflight.orchestrator import (
     PhaseSpec,
     RunConfig,
@@ -71,14 +71,16 @@ class TestCollectRound:
         assert len(records) == 20
         assert sorted({r.worker for r in records}) == [0, 1, 2, 3]
 
-    def test_worker_count_is_pure_throughput(self):
-        # W=1 and W=4 give bit-identical merged batches
+    @pytest.mark.parametrize("fidelity", ["low", "high"])
+    def test_worker_count_is_pure_throughput(self, fidelity):
+        # W=1 and W=4 give bit-identical merged batches; at high fidelity the
+        # threads run 200-panel solves concurrently
         params = agent.init_params(np.random.default_rng(1))
         batches = []
         for workers in (1, 4):
             cfg = small_cfg(workers=workers)
             cfg.validate()
-            env = make_environment("low", bounds=cfg.bounds)
+            env = make_environment(fidelity, bounds=cfg.bounds)
             batches.append(collect_round(cfg.target, env, params, cfg, 0))
         for a, b in zip(*batches):
             assert a.re_c == b.re_c
@@ -245,6 +247,25 @@ class TestEvaluatePolicy:
         b = evaluate_policy(params, dist, env, 50, 3, (5.5e6, 5e5))
         assert_allclose(a.rewards, b.rewards, rtol=0, atol=0)
         assert a.summary == b.summary
+
+    @staticmethod
+    def _evaluate_mean_shape_raising(monkeypatch, error):
+        env = make_environment("low")
+
+        def failing_evaluate(shape, re_c):
+            raise error("evaluate failed")
+
+        monkeypatch.setattr(env, "evaluate", failing_evaluate)
+        params = agent.init_params(np.random.default_rng(12))
+        return evaluate_policy(params, StateDistribution(5.5e6, 5e5), env, 0, 0, (5.5e6, 5e5))
+
+    def test_solver_error_drops_mean_shape_aero(self, monkeypatch):
+        result = self._evaluate_mean_shape_raising(monkeypatch, SolverError)
+        assert result.mean_shape.valid and result.mean_aero is None
+
+    def test_other_errors_propagate(self, monkeypatch):
+        with pytest.raises(RuntimeError):
+            self._evaluate_mean_shape_raising(monkeypatch, RuntimeError)
 
     def test_greedy_uses_policy_mean(self):
         params = agent.init_params(np.random.default_rng(11))

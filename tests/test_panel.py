@@ -68,9 +68,12 @@ class TestAirfoil:
 
 
 class TestValidation:
-    def test_open_polyline_rejected(self):
+    # 5e-6 lies within np.allclose's default rtol, so a relative test would pass it
+    @pytest.mark.parametrize("offset", [(0.5, 0.5), (5e-6, 0.0), (np.nan, 0.0)],
+                             ids=["half", "5e-6x", "nan"])
+    def test_open_polyline_rejected(self, offset):
         pts = cylinder(60)
-        pts[-1] += 0.5
+        pts[-1] += offset
         with pytest.raises(ConfigError):
             solve_panel(pts)
 
