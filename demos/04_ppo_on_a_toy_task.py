@@ -18,13 +18,12 @@ states = np.zeros((batch_size, 1))
 
 print(f"{'update':>6} {'mean':>8} {'std':>7} {'reward':>9} {'clipfrac':>9}")
 for update in range(500):
-    snapshot = trainer.snapshot()
-    mean, std = forward_policy(snapshot, states)
+    mean, std = forward_policy(trainer.params, states)
     actions = mean + std * rng.standard_normal((batch_size, 1))
-    logp = gaussian_log_prob(actions, mean, snapshot.log_std)
+    logp = gaussian_log_prob(actions, mean, trainer.params.log_std)
     a = np.clip(actions[:, 0], -1.0, 1.0)
     rewards = -(a - 0.3) ** 2
-    values = value(snapshot, states)
+    values = value(trainer.params, states)
     stats = trainer.update(ExperienceBatch(
         states=states, actions=actions, log_probs_old=logp,
         advantages=rewards - values, returns=rewards))

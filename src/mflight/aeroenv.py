@@ -8,16 +8,13 @@ panel solve there, and the panel solution is computed only where Cp and Cl
 are reported (``Environment.evaluate``). The high-fidelity model marches an
 integral boundary layer over the panel edge velocities and closes with
 Squire-Young. One ``step`` call is one complete episode (the flow solve IS
-the episode). With ``workers`` > 1 one environment serves all of a round's
-worker threads; its evaluation counter is its only mutable state and is
-guarded by a lock.
+the episode).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,8 +110,7 @@ def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0) -> Ae
 class Environment:
     """One fidelity tier of the design environment.
 
-    Immutable after construction apart from the locked evaluation counter;
-    safe to call from several worker threads at once.
+    Its one mutable field is ``eval_count``, the number of ``step`` and ``evaluate`` calls.
     """
 
     fidelity: str
@@ -126,21 +122,11 @@ class Environment:
     def __post_init__(self):
         if self.fidelity not in ("low", "high"):
             raise ConfigError(f"unknown fidelity {self.fidelity!r}")
-        self._lock = threading.Lock()
-        self._eval_count = 0
-
-    @property
-    def eval_count(self) -> int:
-        with self._lock:
-            return self._eval_count
-
-    def _count(self) -> None:
-        with self._lock:
-            self._eval_count += 1
+        self.eval_count = 0
 
     def evaluate(self, shape: AirfoilShape, re_c: float) -> AeroResult:
         """Drag, lift and surface pressure of one shape (solves the panel system)."""
-        self._count()
+        self.eval_count += 1
         if self.fidelity == "low":
             return low_fidelity_cd(shape, re_c, alpha=self.alpha)
         return self._evaluate(shape, re_c)
@@ -163,7 +149,7 @@ class Environment:
         counts as one environment evaluation, penalized episodes included.
         At low fidelity no panel solve runs, so ``info["cl"]`` is None there.
         """
-        self._count()
+        self.eval_count += 1
         info = {"re_c": re_c, "valid": False, "converged": False,
                 "cd": None, "cl": None, "thickness_max": None}
         shape = self.build_shape(design)

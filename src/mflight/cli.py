@@ -17,7 +17,7 @@ from . import config as config_mod
 from . import orchestrator as orch
 from .aeroenv import StateDistribution, write_cp_csv
 from .agent import load_checkpoint
-from .errors import CheckpointError, ConfigError, MflightError, RunError, SchemaError
+from .errors import CheckpointError, ConfigError, MflightError, SchemaError
 from .geometry import write_selig
 
 log = logging.getLogger("mflight")
@@ -187,9 +187,6 @@ def main(argv=None) -> int:
     except (CheckpointError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERSION
-    except RunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
     except MflightError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORTED

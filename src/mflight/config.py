@@ -33,7 +33,7 @@ _REFERENCE: dict = {
     "schema_version": (SCHEMA_VERSION, "config document schema version"),
     "mode": ("scratch", "scratch | single_fidelity_ctl | multi_fidelity_ctl"),
     "seed": (0, "global seed; every logged number is a function of (config, seed)"),
-    "workers": (4, "episode workers W: threads per round and the episodes.csv worker column"),
+    "workers": (4, "episode workers W: the episodes.csv worker column; starts no threads"),
     "episodes_per_update": (20, "episodes pooled per policy update (T_L)"),
     "penalty": (-0.1, "reward for invalid or non-converged episodes"),
     "source": dict(_PHASE_DOC),
@@ -201,47 +201,53 @@ def _phase(name: str, section: dict | None) -> PhaseSpec | None:
 
 
 def build_run_config(doc: dict) -> RunConfig:
-    """Turn a validated document into the orchestrator's RunConfig."""
-    geo = doc["geometry"]
-    bounds_doc = geo.get("bounds")
-    if bounds_doc and bounds_doc.get("lo") is not None:
-        bounds = GeometryBounds(lo=np.asarray(bounds_doc["lo"], dtype=float),
-                                hi=np.asarray(bounds_doc["hi"], dtype=float))
-    else:
-        bounds = GeometryBounds()
+    """Turn a validated document into the orchestrator's RunConfig; bad values raise ConfigError."""
+    try:
+        geo = doc["geometry"]
+        bounds_doc = geo.get("bounds")
+        if bounds_doc and bounds_doc.get("lo") is not None:
+            bounds = GeometryBounds(lo=np.asarray(bounds_doc["lo"], dtype=float),
+                                    hi=np.asarray(bounds_doc["hi"], dtype=float))
+        else:
+            bounds = GeometryBounds()
 
-    ref_doc = doc.get("state_reference")
-    state_ref = None
-    if ref_doc and ref_doc.get("mu") is not None:
-        if ref_doc.get("sigma") is None:
-            raise ConfigError("state_reference needs both mu and sigma")
-        state_ref = (float(ref_doc["mu"]), float(ref_doc["sigma"]))
+        ref_doc = doc.get("state_reference")
+        state_ref = None
+        if ref_doc and (ref_doc.get("mu") is not None or ref_doc.get("sigma") is not None):
+            if ref_doc.get("mu") is None or ref_doc.get("sigma") is None:
+                raise ConfigError("state_reference needs both mu and sigma")
+            state_ref = (float(ref_doc["mu"]), float(ref_doc["sigma"]))
 
-    ppo_doc = doc["ppo"]
-    cfg = RunConfig(
-        mode=doc["mode"],
-        source=_phase("source", doc.get("source")),
-        target=_phase("target", doc["target"]),
-        ppo=PpoConfig(**{k: (int(v) if k == "epochs_per_update" else float(v))
-                         for k, v in ppo_doc.items()}),
-        workers=int(doc["workers"]),
-        episodes_per_update=int(doc["episodes_per_update"]),
-        seed=int(doc["seed"]),
-        penalty=float(doc["penalty"]),
-        hidden=tuple(int(h) for h in doc["agent"]["hidden"]),
-        log_std_init=float(doc["agent"]["log_std_init"]),
-        ctl_window=int(doc["ctl"]["window"]),
-        ctl_gamma_cut=float(doc["ctl"]["gamma_cut"]),
-        force_transfer=bool(doc["ctl"]["force_transfer"]),
-        bounds=bounds,
-        alpha=float(np.deg2rad(float(doc["environment"]["alpha_deg"]))),
-        blend_fraction=float(geo["blend_fraction"]),
-        n_points_low=int(geo["n_points_low"]),
-        n_points_high=int(geo["n_points_high"]),
-        state_ref=state_ref,
-        threshold_fraction=float(doc["evaluation"]["threshold_fraction"]),
-        tail_episodes=int(doc["evaluation"]["tail_episodes"]),
-    )
+        force_transfer = doc["ctl"]["force_transfer"]
+        if not isinstance(force_transfer, bool):  # bool("False") would be True
+            raise ConfigError(f"ctl.force_transfer must be true or false, got {force_transfer!r}")
+        ppo_doc = doc["ppo"]
+        cfg = RunConfig(
+            mode=doc["mode"],
+            source=_phase("source", doc.get("source")),
+            target=_phase("target", doc["target"]),
+            ppo=PpoConfig(**{k: (int(v) if k == "epochs_per_update" else float(v))
+                             for k, v in ppo_doc.items()}),
+            workers=int(doc["workers"]),
+            episodes_per_update=int(doc["episodes_per_update"]),
+            seed=int(doc["seed"]),
+            penalty=float(doc["penalty"]),
+            hidden=tuple(int(h) for h in doc["agent"]["hidden"]),
+            log_std_init=float(doc["agent"]["log_std_init"]),
+            ctl_window=int(doc["ctl"]["window"]),
+            ctl_gamma_cut=float(doc["ctl"]["gamma_cut"]),
+            force_transfer=force_transfer,
+            bounds=bounds,
+            alpha=float(np.deg2rad(float(doc["environment"]["alpha_deg"]))),
+            blend_fraction=float(geo["blend_fraction"]),
+            n_points_low=int(geo["n_points_low"]),
+            n_points_high=int(geo["n_points_high"]),
+            state_ref=state_ref,
+            threshold_fraction=float(doc["evaluation"]["threshold_fraction"]),
+            tail_episodes=int(doc["evaluation"]["tail_episodes"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
     cfg.validate()
     return cfg
 

@@ -272,6 +272,12 @@ def _segments_cross(points: np.ndarray) -> bool:
     return bool(((d1 * d2 < 0.0) & (d3 * d4 < 0.0)).any())
 
 
+def check_n_points(n_points: int, name: str = "n_points") -> None:
+    """Even and >= 42: n_points make n_points - 2 panels, and the panel solver needs 40."""
+    if n_points < 42 or n_points % 2 != 0:
+        raise ConfigError(f"{name} must be an even number >= 42")
+
+
 def build_airfoil(polygon: ControlPolygon, n_points: int, blend_fraction: float = 0.02) -> AirfoilShape:
     """Sample the control polygon into a closed surface polyline.
 
@@ -280,8 +286,7 @@ def build_airfoil(polygon: ControlPolygon, n_points: int, blend_fraction: float 
     (crossed surfaces, self-intersection) is reported via ``valid``, never
     raised.
     """
-    if n_points < 40 or n_points % 2 != 0:
-        raise ConfigError("n_points must be an even number >= 40")
+    check_n_points(n_points)
     m = n_points // 2
     basis = _surface_basis(m)
     upper = basis @ polygon.upper_curve()

@@ -1,19 +1,16 @@
 """Training campaigns: source-phase learning, CTL-gated transfer, target phase.
 
-Each round splits T_L episodes into W blocks of T_L/W; with W > 1 the blocks
-run on W threads. Every episode draws from its own RNG stream keyed by (seed,
-phase, global episode index), so W=1 and W=4 produce bit-identical merged
-batches: the worker count sets the thread count and the ``worker`` column of
-the episode log, and every other logged number is a function of (seed,
-config) alone. Collection, the PPO update, and the per-episode controller
-updates are serialized on the coordinator.
+A round runs its T_L episodes one after another, then the PPO update, then the
+per-episode controller updates. Every episode draws from its own RNG stream
+keyed by (seed, phase, global episode index), so every logged number is a
+function of (seed, config) alone. The worker count W only labels episode j of
+a round as worker j // (T_L / W) in the ``worker`` column of the episode log.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +26,7 @@ from .agent import (
     value,
 )
 from .errors import ConfigError, RunError, SchemaError, SolverError
-from .geometry import AirfoilShape, DesignVector, GeometryBounds
+from .geometry import AirfoilShape, DesignVector, GeometryBounds, check_n_points
 from .ppo import EpisodeRecord, ExperienceBatch, PpoConfig, PpoTrainer
 
 log = logging.getLogger(__name__)
@@ -104,6 +101,16 @@ class RunConfig:
                 )
         if not 0.0 < self.threshold_fraction <= 1.0:
             raise ConfigError("threshold_fraction must lie in (0, 1]")
+        if self.ctl_window < 1:
+            raise ConfigError("ctl window must be >= 1")
+        if not 0.0 < self.ctl_gamma_cut < 1.0:
+            raise ConfigError("ctl gamma_cut must lie in (0, 1)")
+        if self.state_ref is not None:
+            mu_ref, sigma_ref = self.state_ref
+            if not (np.isfinite(mu_ref) and np.isfinite(sigma_ref) and sigma_ref > 0):
+                raise ConfigError("state reference needs a finite mu and a finite sigma > 0")
+        check_n_points(self.n_points_low, "n_points_low")
+        check_n_points(self.n_points_high, "n_points_high")
 
     def resolve_state_ref(self) -> tuple[float, float]:
         """Normalization reference, pinned to the source distribution."""
@@ -131,44 +138,23 @@ def episode_rng(seed: int, phase: str, episode_index: int) -> np.random.Generato
     return np.random.default_rng([seed, PHASE_IDS[phase], episode_index])
 
 
-def run_episode(env: Environment, params: PolicyParams, dist: StateDistribution,
-                ref: tuple[float, float], rng: np.random.Generator,
-                penalty: float) -> EpisodeRecord:
-    re_c = sample_state(dist, rng)
-    state = normalize_state(re_c, ref)
-    ga = act(params, state, rng)
-    v = value(params, state)
-    reward, info = env.step(DesignVector(ga.clipped_action), re_c, penalty)
-    return EpisodeRecord(state=state, action=ga.action, log_prob_old=ga.log_prob,
-                         reward=reward, value_old=v, re_c=re_c, info=info)
-
-
 def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
                   cfg: RunConfig, round_index: int) -> list[EpisodeRecord]:
-    """One pooled round of T_L episodes, merged in (worker, episode) order."""
+    """One pooled round of T_L episodes, in global episode order."""
     t_l = cfg.episodes_per_update
-    per_worker = t_l // cfg.workers
     ref = cfg.resolve_state_ref()
-
-    def run_block(w: int) -> list[EpisodeRecord]:
-        records = []
-        for j in range(per_worker):
-            g = round_index * t_l + w * per_worker + j
-            rng = episode_rng(cfg.seed, phase.name, g)
-            rec = run_episode(env, params, phase.dist, ref, rng, cfg.penalty)
-            rec.worker = w
-            records.append(rec)
-        return records
-
-    try:
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                blocks = list(pool.map(run_block, range(cfg.workers)))
-        else:
-            blocks = [run_block(w) for w in range(cfg.workers)]
-    except Exception as exc:
-        raise RunError(f"worker failure during round {round_index}: {exc}") from exc
-    return [rec for block in blocks for rec in block]
+    records = []
+    for j in range(t_l):
+        rng = episode_rng(cfg.seed, phase.name, round_index * t_l + j)
+        re_c = sample_state(phase.dist, rng)
+        state = normalize_state(re_c, ref)
+        ga = act(params, state, rng)
+        v = value(params, state)
+        reward, info = env.step(DesignVector(ga.clipped_action), re_c, cfg.penalty)
+        records.append(EpisodeRecord(state=state, action=ga.action, log_prob_old=ga.log_prob,
+                                     reward=reward, value_old=v, re_c=re_c,
+                                     worker=j // (t_l // cfg.workers), info=info))
+    return records
 
 
 @dataclass
@@ -214,8 +200,7 @@ def run_phase(phase: PhaseSpec, env: Environment, trainer: PpoTrainer,
     rewards: list[float] = []
     consecutive_aborts = 0
     for r in range(rounds):
-        snapshot = trainer.snapshot()
-        records = collect_round(phase, env, snapshot, cfg, r)
+        records = collect_round(phase, env, trainer.params, cfg, r)
         batch = ExperienceBatch.from_records(records)
         stats = trainer.update(batch)
         if stats.aborted:

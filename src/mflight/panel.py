@@ -9,17 +9,40 @@ system is solved instead (closed bluff bodies, e.g. the cylinder checks).
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import ConfigError, SolverError
 
+log = logging.getLogger(__name__)
+
 PIVOT_TOL = 1e-12
 CLOSURE_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run the wheels' OpenBLAS on one thread: a threaded LU rounds differently."""
+    libs = [path for package in (scipy, np)  # each library is already loaded by its package
+            for path in glob.glob(package.__path__[0] + ".libs/libscipy_openblas*.so")]
+    setters = [getattr(lib, name) for lib in map(ctypes.CDLL, libs)
+               for name in ("scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+               if hasattr(lib, name)]
+    for setter in setters:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    if not setters:
+        log.warning("no bundled OpenBLAS thread setter found; LU bits may depend on its pool")
+
+
+_pin_blas_to_one_thread()
 
 
 @dataclass
@@ -68,8 +91,8 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
 
     p0, length, cos_t, sin_t, mid = _panel_frames(points)
 
-    # The n x n work runs in five buffers local to the call (threads solve
-    # concurrently), written in place. Every element sees the IEEE operations
+    # The n x n work runs in five buffers local to the call, written in
+    # place. Every element sees the IEEE operations
     # of the textbook assembly, reordered only where that is exact:
     # (-a)*b == -(a*b), (-p)+q == q-p, x**2 == x*x and (0.5*L)*c == L*(0.5*c).
     # midpoint i in the frame of panel j: xs = dx cos + dy sin, ys = dy cos - dx sin

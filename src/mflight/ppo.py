@@ -42,7 +42,7 @@ class PpoConfig:
 
 @dataclass
 class EpisodeRecord:
-    """One pooled experience tuple (the unit the workers hand back)."""
+    """One episode's experience tuple; ``worker`` is its episodes.csv label."""
 
     state: float          # normalized Reynolds number
     action: np.ndarray    # pre-clip 13-vector sample
@@ -211,19 +211,16 @@ class Adam:
 
 
 class PpoTrainer:
-    """Owns the mutable parameters and optimizer state; single-writer updates.
+    """Owns the mutable parameters and optimizer state.
 
-    Workers act on immutable snapshots from :meth:`snapshot`; :meth:`update`
-    must not run concurrently with anything touching ``self.params``.
+    :meth:`update` changes ``params`` in place (or replaces it on rollback), so
+    a caller that needs the parameters as they were keeps a ``params.copy()``.
     """
 
     def __init__(self, params: PolicyParams, cfg: PpoConfig):
         self.params = params
         self.cfg = cfg
         self.opt = Adam(params, cfg.learning_rate)
-
-    def snapshot(self) -> PolicyParams:
-        return self.params.copy()
 
     def update(self, batch: ExperienceBatch) -> UpdateStats:
         """Run epochs of full-batch gradient steps; roll back on bad gradients."""

@@ -75,6 +75,30 @@ class TestTrain:
                          "--set", "ndonexist=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("overrides", [
+        ["ctl.window=0"],
+        ["ctl.gamma_cut=1.5"],
+        ["ctl.force_transfer=False"],
+        ["ppo.clip_epsilon=0"],
+        ["ppo.learning_rate=-1"],
+        ["workers=x"],
+        ["state_reference.mu=5.5e6", "state_reference.sigma=0"],
+        ["state_reference.mu=5.5e6", "state_reference.sigma=-1"],
+        ["state_reference.mu=5.5e6", "state_reference.sigma=NaN"],
+        ["state_reference.sigma=5e5"],
+        ["geometry.n_points_low=10"],
+        ["geometry.n_points_low=40"],
+    ], ids=lambda overrides: " ".join(overrides))
+    def test_bad_value_exits_2_before_any_compute(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "o"
+        args = ["train", "--config", str(cfg), "--out", str(out)]
+        for item in overrides:
+            args += ["--set", item]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_ctl_mode_writes_source_checkpoint(self, tmp_path):
         cfg = write_config(
             tmp_path / "ctl.json",

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -73,20 +75,35 @@ class TestCollectRound:
 
     @pytest.mark.parametrize("fidelity", ["low", "high"])
     def test_worker_count_is_pure_throughput(self, fidelity):
-        # W=1 and W=4 give bit-identical merged batches; at high fidelity the
-        # threads run 200-panel solves concurrently
+        # W in {2, 4, 5} gives the W=1 batch bit for bit; W sets only the labels
         params = agent.init_params(np.random.default_rng(1))
-        batches = []
-        for workers in (1, 4):
+        batches = {}
+        for workers in (1, 2, 4, 5):
             cfg = small_cfg(workers=workers)
             cfg.validate()
             env = make_environment(fidelity, bounds=cfg.bounds)
-            batches.append(collect_round(cfg.target, env, params, cfg, 0))
-        for a, b in zip(*batches):
-            assert a.re_c == b.re_c
-            assert a.reward == b.reward
-            assert a.log_prob_old == b.log_prob_old
-            assert_allclose(a.action, b.action, rtol=0, atol=0)
+            batches[workers] = collect_round(cfg.target, env, params, cfg, 0)
+        for workers in (2, 4, 5):
+            labels = [rec.worker for rec in batches[workers]]
+            assert labels == [j // (20 // workers) for j in range(20)], workers
+            for a, b in zip(batches[1], batches[workers]):
+                assert a.re_c == b.re_c
+                assert a.reward == b.reward
+                assert a.log_prob_old == b.log_prob_old
+                assert_allclose(a.action, b.action, rtol=0, atol=0)
+
+    def test_starts_no_threads(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("collect_round started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = small_cfg(workers=4, t_l=20)
+        cfg.validate()
+        env = make_environment("low", bounds=cfg.bounds)
+        records = collect_round(cfg.target, env, agent.init_params(np.random.default_rng(0)),
+                                cfg, 0)
+        assert len(records) == 20
+        assert env.eval_count == 20
 
     def test_rng_streams_are_worker_layout_independent(self):
         a = episode_rng(0, "source", 7).random(4)

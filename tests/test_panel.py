@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mflight import panel
 from mflight.errors import ConfigError, SolverError
 from mflight.geometry import build_airfoil
 from mflight.panel import PanelSolution, lift_from_pressure, solve_panel
@@ -99,3 +105,48 @@ class TestValidation:
         assert isinstance(sol, PanelSolution)
         assert sol.vortex_strength == 0.0
         assert len(sol.cp) == 60
+
+
+# 40 high-fidelity solves of valid default-box shapes; prints the sha256 of the results
+HIFI_SOLVES = """
+import hashlib
+import numpy as np
+from mflight.aeroenv import make_environment
+from mflight.geometry import DesignVector
+from mflight.panel import solve_panel
+
+env = make_environment("high")
+rng = np.random.default_rng(3)
+digest = hashlib.sha256()
+solved = 0
+while solved < 40:
+    shape = env.build_shape(DesignVector(rng.uniform(-1.0, 1.0, 13)))
+    if shape.valid:
+        sol = solve_panel(shape.points)
+        for arr in (sol.vt, sol.cp, sol.source_strengths, np.array([sol.cl])):
+            digest.update(arr.tobytes())
+        solved += 1
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="OpenBLAS caps its pool at the CPU count")
+    def test_solves_do_not_depend_on_the_blas_pool(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = subprocess.run([sys.executable, "-c", HIFI_SOLVES], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+    def test_no_library_found_logs_one_warning(self, monkeypatch, caplog):
+        monkeypatch.setattr(panel.glob, "glob", lambda pattern: [])
+        with caplog.at_level("WARNING", logger="mflight.panel"):
+            panel._pin_blas_to_one_thread()
+        assert len(caplog.records) == 1

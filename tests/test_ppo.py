@@ -171,10 +171,9 @@ class TestUpdate:
         trainer = PpoTrainer(params, PpoConfig(learning_rate=1e-3))
         mean0 = float(forward_policy(trainer.params, 0.0)[0][0])
         for _ in range(5):
-            snap = trainer.snapshot()
-            mean, std = forward_policy(snap, np.zeros((20, 1)))
+            mean, std = forward_policy(trainer.params, np.zeros((20, 1)))
             actions = mean + std * rng.standard_normal((20, 1))
-            logp = gaussian_log_prob(actions, mean, snap.log_std)
+            logp = gaussian_log_prob(actions, mean, trainer.params.log_std)
             rewards = actions[:, 0]  # higher action, higher reward
             values = np.zeros(20)
             batch = ExperienceBatch(states=np.zeros((20, 1)), actions=actions,
@@ -261,13 +260,12 @@ def toy_quadratic_run(seed, updates=500, batch=40):
     trainer = PpoTrainer(params, PpoConfig())
     states = np.zeros((batch, 1))
     for _ in range(updates):
-        snap = trainer.snapshot()
-        mean, std = forward_policy(snap, states)
+        mean, std = forward_policy(trainer.params, states)
         actions = mean + std * rng.standard_normal((batch, 1))
-        logp = gaussian_log_prob(actions, mean, snap.log_std)
+        logp = gaussian_log_prob(actions, mean, trainer.params.log_std)
         a = np.clip(actions[:, 0], -1.0, 1.0)
         rewards = -(a - 0.3) ** 2
-        values = agent.value(snap, states)
+        values = agent.value(trainer.params, states)
         trainer.update(ExperienceBatch(states=states, actions=actions,
                                        log_probs_old=logp, advantages=rewards - values,
                                        returns=rewards))

@@ -6,10 +6,9 @@ Runs, from the checkout this script lives in and in a temporary directory:
 ``mflight train`` on the two campaign configs in bench/configs/
 (lowfi_transfer.json, multifi_transfer.json) with ``--seed``, and
 ``mflight evaluate`` of bench/eval.ckpt with bench/configs/hifi_evaluate.json
-at the same seed. The BLAS and OpenMP pools run at one thread, because the
-pool size changes the last digits of high-fidelity rewards. Prints one
-``sha256  path`` line per file, sorted by path. A change that keeps every
-logged number the same prints the same lines on both checkouts:
+at the same seed. Prints one ``sha256  path`` line per file, sorted by path.
+A change that keeps every logged number the same prints the same lines on
+both checkouts:
 
     python3 tools/artifact_digests.py > before.txt   # in the parent checkout
     python3 tools/artifact_digests.py > after.txt    # in the changed checkout
@@ -32,11 +31,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "bench", "configs")
 CHECKPOINT = os.path.join(ROOT, "bench", "eval.ckpt")
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def mflight(args: list[str]) -> None:
-    env = dict(os.environ, **ONE_THREAD)
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     # the child's output goes to stderr, so standard output holds the digests alone
