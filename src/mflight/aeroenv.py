@@ -22,7 +22,7 @@ import numpy as np
 from . import boundary_layer as bl
 from .errors import ConfigError, SolverError
 from .geometry import AirfoilShape, DesignVector, GeometryBounds, build_airfoil, decode
-from .panel import solve_panel
+from .panel import PanelWorkspace, solve_panel
 
 RE_FLOOR = 1e5
 DEFAULT_PENALTY = -0.1
@@ -83,20 +83,23 @@ def low_fidelity_drag(thickness_max: float, re_c: float) -> float:
     return 2.0 * flat_plate_cf(re_c) * form_factor(thickness_max)
 
 
-def low_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0) -> AeroResult:
-    """Low-fidelity drag, with Cl and Cp from the panel solve."""
-    sol = solve_panel(shape.points, alpha=alpha)
+def low_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0,
+                    work: PanelWorkspace | None = None) -> AeroResult:
+    """Low-fidelity drag, with Cl and Cp from the panel solve (in ``work``, if given)."""
+    sol = solve_panel(shape.points, alpha=alpha, work=work)
     cd = low_fidelity_drag(shape.thickness_max, re_c)
     return AeroResult(cd=cd, cl=sol.cl, cp=sol.cp, cp_x=sol.x_mid, converged=True)
 
 
-def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0) -> AeroResult:
+def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0,
+                     work: PanelWorkspace | None = None) -> AeroResult:
     """Integral-boundary-layer drag over the panel edge velocities.
 
-    converged is False when either surface's turbulent march separates ahead
-    of 95% chord; the coefficients are still reported.
+    The panel solve runs in ``work``, if given. converged is False when
+    either surface's turbulent march separates ahead of 95% chord; the
+    coefficients are still reported.
     """
-    sol = solve_panel(shape.points, alpha=alpha)
+    sol = solve_panel(shape.points, alpha=alpha, work=work)
     nu = 1.0 / re_c
     (s_lo, ue_lo, x_lo), (s_up, ue_up, x_up) = bl.split_surfaces(sol.x_mid, sol.y_mid, sol.vt)
     lower = bl.march_surface(s_lo, ue_lo, x_lo, nu)
@@ -110,7 +113,10 @@ def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0) -> Ae
 class Environment:
     """One fidelity tier of the design environment.
 
-    Its one mutable field is ``eval_count``, the number of ``step`` and ``evaluate`` calls.
+    Besides its fields it holds ``eval_count``, the number of ``step`` and
+    ``evaluate`` calls, and ``work``, the workspace of its ``n_points - 2``
+    panels that every panel solve of this environment reuses. The workspace
+    makes an environment serve one caller at a time.
     """
 
     fidelity: str
@@ -123,12 +129,13 @@ class Environment:
         if self.fidelity not in ("low", "high"):
             raise ConfigError(f"unknown fidelity {self.fidelity!r}")
         self.eval_count = 0
+        self.work = PanelWorkspace(self.n_points - 2)
 
     def evaluate(self, shape: AirfoilShape, re_c: float) -> AeroResult:
         """Drag, lift and surface pressure of one shape (solves the panel system)."""
         self.eval_count += 1
         if self.fidelity == "low":
-            return low_fidelity_cd(shape, re_c, alpha=self.alpha)
+            return low_fidelity_cd(shape, re_c, alpha=self.alpha, work=self.work)
         return self._evaluate(shape, re_c)
 
     def _evaluate(self, shape: AirfoilShape, re_c: float) -> AeroResult:
@@ -136,7 +143,7 @@ class Environment:
         if self.fidelity == "low":
             return AeroResult(cd=low_fidelity_drag(shape.thickness_max, re_c), cl=None,
                               cp=None, cp_x=None, converged=True)
-        return high_fidelity_cd(shape, re_c, alpha=self.alpha)
+        return high_fidelity_cd(shape, re_c, alpha=self.alpha, work=self.work)
 
     def build_shape(self, design) -> AirfoilShape:
         polygon = decode(design, self.bounds)

@@ -65,6 +65,8 @@ def _eval_settings(doc: dict):
     sigma = ev["sigma"] if ev["sigma"] is not None else base["sigma"]
     fidelity = ev["fidelity"] if ev["fidelity"] is not None else doc["target"]["fidelity"]
     episodes = int(ev["episodes"])
+    if episodes < 0:
+        raise ConfigError(f"evaluation.episodes must be >= 0, got {episodes}")
     return StateDistribution(float(mu), float(sigma)), fidelity, episodes
 
 
@@ -97,11 +99,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     doc = config_mod.load_document(args.config)
     cfg = config_mod.build_run_config(doc)
-    params, _ = load_checkpoint(args.checkpoint)
-
     dist, fidelity, episodes = _eval_settings(doc)
     if args.episodes is not None:
+        if args.episodes < 0:
+            raise ConfigError(f"--episodes must be >= 0, got {args.episodes}")
         episodes = args.episodes
+    params, _ = load_checkpoint(args.checkpoint)
     result = orch.evaluate_policy(params, dist, cfg.environment(fidelity), episodes, cfg.seed,
                                   cfg.resolve_state_ref(), cfg.penalty)
 

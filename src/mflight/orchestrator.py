@@ -101,6 +101,13 @@ class RunConfig:
                 )
         if not 0.0 < self.threshold_fraction <= 1.0:
             raise ConfigError("threshold_fraction must lie in (0, 1]")
+        if self.tail_episodes < 1:
+            raise ConfigError("tail_episodes must be >= 1")
+        # a valid design earns -cd < 0; a penalty >= 0 would pay failures more than any design
+        if not (np.isfinite(self.penalty) and self.penalty < 0.0):
+            raise ConfigError(f"penalty must be finite and negative, got {self.penalty!r}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"agent hidden widths must be >= 1, got {list(self.hidden)}")
         if self.ctl_window < 1:
             raise ConfigError("ctl window must be >= 1")
         if not 0.0 < self.ctl_gamma_cut < 1.0:

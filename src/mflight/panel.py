@@ -58,6 +58,30 @@ class PanelSolution:
     vortex_strength: float
 
 
+class PanelWorkspace:
+    """The n x n buffers of an n-panel solve, allocated once and reused.
+
+    ``solve_panel`` writes every element of a buffer before it reads it, so
+    no value carries over from one call to the next, and no array it
+    returns is a view of the workspace. Reuse spares the page faults of
+    fresh memory on every call. A workspace serves one solve at a time.
+    """
+
+    def __init__(self, n_panels: int):
+        if n_panels < 40:
+            raise ConfigError("panel count must be >= 40")
+        self.n_panels = n_panels
+        self.dx, self.dy, self.xs, self.w, self.dot = (np.empty((n_panels, n_panels))
+                                                        for _ in range(5))
+        # storage of the Fortran-order influence matrix: (n+1)^2 with the
+        # Kutta row and column, of which the first n^2 serve without them
+        self._matrix = np.empty((n_panels + 1) ** 2)
+
+    def influence_matrix(self, m: int) -> np.ndarray:
+        """An m x m Fortran-order view of the matrix storage (m <= n + 1)."""
+        return self._matrix[:m * m].reshape((m, m), order="F")
+
+
 def _panel_frames(points: np.ndarray):
     nodes = np.asarray(points, dtype=float)
     p0 = nodes[:-1]
@@ -72,12 +96,15 @@ def _panel_frames(points: np.ndarray):
     return p0, length, cos_t, sin_t, mid
 
 
-def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> PanelSolution:
+def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True,
+                work: PanelWorkspace | None = None) -> PanelSolution:
     """Solve the surface singularity system for a closed polyline.
 
     ``points`` is the (N+1, 2) node array with points[0] == points[-1];
-    ``alpha`` is the angle of attack in radians. Raises SolverError when the
-    LU factorization of the influence matrix hits a pivot below 1e-12.
+    ``alpha`` is the angle of attack in radians. ``work`` is an N-panel
+    workspace to write the intermediates into; without one the call
+    allocates its own. Raises SolverError when the LU factorization of the
+    influence matrix hits a pivot below 1e-12.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -88,18 +115,22 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
     n = points.shape[0] - 1
     if n < 40:
         raise ConfigError("panel count must be >= 40")
+    if work is None:
+        work = PanelWorkspace(n)
+    elif work.n_panels != n:
+        raise ConfigError(f"workspace is sized for {work.n_panels} panels, the polyline has {n}")
 
     p0, length, cos_t, sin_t, mid = _panel_frames(points)
 
-    # The n x n work runs in five buffers local to the call, written in
+    # The n x n work runs in the five buffers of the workspace, written in
     # place. Every element sees the IEEE operations
     # of the textbook assembly, reordered only where that is exact:
     # (-a)*b == -(a*b), (-p)+q == q-p, x**2 == x*x and (0.5*L)*c == L*(0.5*c).
     # midpoint i in the frame of panel j: xs = dx cos + dy sin, ys = dy cos - dx sin
-    dx = mid[:, 0][:, None] - p0[:, 0][None, :]
-    dy = mid[:, 1][:, None] - p0[:, 1][None, :]
-    xs = dx * cos_t
-    w = dy * sin_t
+    dx = np.subtract(mid[:, 0][:, None], p0[:, 0][None, :], out=work.dx)
+    dy = np.subtract(mid[:, 1][:, None], p0[:, 1][None, :], out=work.dy)
+    xs = np.multiply(dx, cos_t, out=work.xs)
+    w = np.multiply(dy, sin_t, out=work.w)
     xs += w
     ys = np.multiply(dy, cos_t, out=dy)
     ys -= np.multiply(dx, sin_t, out=dx)
@@ -107,7 +138,7 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
     xm = np.subtract(xs, length, out=dx)          # xs - l_j
 
     # subtended angle via atan2(cross, dot): branch-safe for exterior points
-    dot = np.multiply(xs, xm, out=np.empty_like(xs))
+    dot = np.multiply(xs, xm, out=work.dot)
     dot += ys2
     beta = np.arctan2(np.multiply(ys, length, out=ys), dot, out=dot)
     np.fill_diagonal(beta, np.pi)
@@ -140,8 +171,7 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
     rhs_tan = -(nx * v_inf[0] + ny * v_inf[1])
 
     # assembled in Fortran order, so that the LU factorizes it in place
-    m = n + 1 if kutta else n
-    a = np.empty((m, m), order="F")
+    a = work.influence_matrix(n + 1 if kutta else n)
     if kutta:
         b = np.empty(n + 1)
         b[:n] = rhs_tan
@@ -159,9 +189,10 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True) -> P
         b[n] = -((tx[0] + tx[n - 1]) * v_inf[0] + (ty[0] + ty[n - 1]) * v_inf[1])
     else:
         b = rhs_tan
-    # normal source influence nx us_g + ny vs_g, with nx = -sin
-    np.subtract(np.multiply(ny[:, None], vs_g, out=w1),
-                np.multiply(sin_t[:, None], us_g, out=w2), out=a[:n, :n])
+    # normal source influence nx us_g + ny vs_g, with nx = -sin; formed in C
+    # order and copied in, faster than a ufunc writing the Fortran block
+    a[:n, :n] = np.subtract(np.multiply(ny[:, None], vs_g, out=w1),
+                            np.multiply(sin_t[:, None], us_g, out=w2), out=w1)
 
     try:
         with warnings.catch_warnings():

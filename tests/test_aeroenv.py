@@ -18,7 +18,7 @@ from mflight.aeroenv import (
 from mflight.errors import ConfigError
 from mflight.geometry import DesignVector, GeometryBounds, build_airfoil
 
-from conftest import symmetric_polygon
+from conftest import experiment_bounds, symmetric_polygon
 
 
 class TestStateDistribution:
@@ -174,6 +174,23 @@ class TestEnvironmentStep:
         r1, _ = env.step(d, 8e6)
         r2, _ = env.step(d, 8e6)
         assert r1 == r2
+
+    def test_reused_workspace_gives_the_same_step(self):
+        # the second step on A reads the workspace that B's solve left behind
+        env = make_environment("high", bounds=experiment_bounds())
+        work = env.work
+        design_a = DesignVector(np.full(13, 0.3))
+        design_b = DesignVector(np.linspace(-0.8, 0.6, 13))
+        first = env.step(design_a, 8e6)
+        between = env.step(design_b, 7.5e6)
+        again = env.step(design_a, 8e6)
+        assert env.work is work
+        assert first[1]["converged"] and between[1]["converged"]
+        assert first[0] != between[0]
+        # repr round-trips every float, so equal reprs are equal bits
+        assert repr(again) == repr(first)
+        fresh = make_environment("high", bounds=experiment_bounds()).step(design_a, 8e6)
+        assert repr(fresh) == repr(first)
 
     def test_reward_bounded_by_penalty(self):
         env = make_environment("low")

@@ -88,6 +88,14 @@ class TestTrain:
         ["state_reference.sigma=5e5"],
         ["geometry.n_points_low=10"],
         ["geometry.n_points_low=40"],
+        ["evaluation.tail_episodes=0"],
+        ["evaluation.tail_episodes=-5"],
+        ["penalty=0"],
+        ["penalty=1"],
+        ["penalty=NaN"],
+        ["penalty=-Infinity"],
+        ["agent.hidden=[0]"],
+        ["agent.hidden=[64, -1]"],
     ], ids=lambda overrides: " ".join(overrides))
     def test_bad_value_exits_2_before_any_compute(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "c.json")
@@ -164,6 +172,26 @@ class TestEvaluate:
                          "--episodes", "1", "--out", str(tmp_path / "ev")])
         assert code == 4
         assert "truncated checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "document"])
+    def test_negative_episode_count_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        def must_not_load(path):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_load)
+        doc = json.loads((BENCH / "configs" / "hifi_evaluate.json").read_text())
+        args = ["evaluate", "--checkpoint", str(BENCH / "eval.ckpt"),
+                "--out", str(tmp_path / "ev")]
+        if source == "flag":
+            args += ["--episodes", "-1"]
+        else:
+            doc["evaluation"]["episodes"] = -1
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert cli.main(args + ["--config", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "episodes must be >= 0" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("dims", ["1 x", "-1"])
     def test_malformed_dimensions_exit_4(self, tmp_path, capsys, dims):

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from mflight import boundary_layer as bl
 from mflight.aeroenv import RE_FLOOR, low_fidelity_cd, make_environment
 from mflight.ctl import TransferController
+from mflight.errors import ConfigError, SolverError
 from mflight.geometry import (
     GeometryBounds,
     _cosine_params,
@@ -25,9 +26,9 @@ from mflight.geometry import (
     build_airfoil,
     decode,
 )
-from mflight.panel import solve_panel
+from mflight.panel import PanelWorkspace, solve_panel
 
-from conftest import symmetric_polygon
+from conftest import experiment_bounds, symmetric_polygon
 from reference_kernels import (
     march_surface_reference,
     segments_cross_reference,
@@ -40,6 +41,7 @@ reynolds = st.floats(RE_FLOOR, 1.1e7)
 # repeated levels give ties and all-equal windows (zero variance)
 ctl_rewards = st.one_of(st.floats(-0.1, 0.0), st.sampled_from([-0.1, -0.01, 0.0]))
 MARCH_FIELDS = ("theta", "shape_factor", "ue_te", "cd", "transition_s", "separated")
+SOLUTION_ARRAYS = ("cp", "vt", "x_mid", "y_mid", "source_strengths")
 
 
 def widened_bounds() -> GeometryBounds:
@@ -60,6 +62,28 @@ def monotone_points(design, bounds, n_points):
             and (np.diff(x[m - 1:]) > 0).all()):
         return None
     return points
+
+
+def assert_solutions_equal(new, ref):
+    for name in SOLUTION_ARRAYS:
+        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert bits(new.cl) == bits(ref.cl)
+    assert bits(new.vortex_strength) == bits(ref.vortex_strength)
+
+
+def seeded_shapes(seed, count):
+    """Valid shapes from the default and the narrow box at 62 and 202 points, with alphas."""
+    rng = np.random.default_rng(seed)
+    boxes = (GeometryBounds(), experiment_bounds())
+    out = []
+    while len(out) < count:
+        bounds = boxes[int(rng.integers(2))]
+        n_points = (62, 202)[int(rng.integers(2))]
+        shape = build_airfoil(decode(rng.uniform(-1.0, 1.0, 13), bounds), n_points)
+        alpha = float(rng.uniform(-0.1, 0.1))
+        if shape.valid:
+            out.append((shape.points, alpha))
+    return out
 
 
 def bits(value) -> str:
@@ -152,6 +176,50 @@ class TestSolvePanel:
         new = solve_panel(points, kutta=False)
         ref = solve_panel_reference(points, kutta=False)
         assert np.array_equal(new.cp, ref.cp) and np.array_equal(new.vt, ref.vt)
+
+    # one workspace reused across solves gives the bytes of fresh buffers
+    def test_reused_workspace_equals_fresh_buffers_and_reference(self):
+        shapes = seeded_shapes(17, 40)
+        assert {len(points) - 1 for points, _ in shapes} == {60, 200}
+        work = {60: PanelWorkspace(60), 200: PanelWorkspace(200)}
+        for points, alpha in shapes:
+            reused = solve_panel(points, alpha=alpha, work=work[len(points) - 1])
+            assert_solutions_equal(reused, solve_panel(points, alpha=alpha))
+            assert_solutions_equal(reused, solve_panel_reference(points, alpha=alpha))
+
+    def test_results_do_not_alias_the_workspace(self):
+        (first, alpha_1), (second, alpha_2) = [s for s in seeded_shapes(5, 12)
+                                               if len(s[0]) == 201][:2]
+        work = PanelWorkspace(200)
+        sol = solve_panel(first, alpha=alpha_1, work=work)
+        kept = {name: getattr(sol, name).copy() for name in SOLUTION_ARRAYS}
+        solve_panel(second, alpha=alpha_2, work=work)
+        for name, before in kept.items():
+            assert getattr(sol, name).tobytes() == before.tobytes(), name
+
+    @pytest.mark.parametrize("case", ["singular", "nan_node"])
+    def test_solver_error_leaves_the_workspace_usable(self, case):
+        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)
+        if case == "singular":
+            # coincident upper and lower surfaces give a singular system
+            x = np.concatenate([np.linspace(1.0, 0.0, 31), np.linspace(0.0, 1.0, 31)[1:]])
+            bad = np.column_stack([x, np.zeros_like(x)])
+        else:
+            # a NaN node inside the polyline fails lu_factor's finiteness check
+            bad = shape.points.copy()
+            bad[17] = np.nan
+        work = PanelWorkspace(60)
+        with pytest.raises(SolverError):
+            solve_panel(bad, work=work)
+        assert_solutions_equal(solve_panel(shape.points, alpha=0.03, work=work),
+                               solve_panel(shape.points, alpha=0.03))
+
+    def test_wrong_panel_count_raises(self):
+        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 202)
+        with pytest.raises(ConfigError, match="workspace"):
+            solve_panel(shape.points, work=PanelWorkspace(60))
+        with pytest.raises(ConfigError):
+            PanelWorkspace(30)
 
 
 class TestLowFidelityReward:
