@@ -33,7 +33,7 @@ print("  encode(decode(v)) == v:", np.allclose(encode(polygon, bounds), design.v
 
 # %% Sampling the curve gives a closed polyline, trailing edge around to
 # trailing edge, with validity established by construction checks.
-shape = build_airfoil(polygon, n_points=62)
+shape = build_airfoil(polygon, n_points=62)[0]
 print(f"\nshape: {len(shape.points)} points, valid={shape.valid}, "
       f"max thickness={shape.thickness_max:.4f}c, min={shape.thickness_min:.5f}c")
 
@@ -48,5 +48,5 @@ crossed_bounds = GeometryBounds(
 v = np.zeros(13)
 v[[1, 3, 5]] = -1.0   # upper ordinates pushed far below the chord
 v[[7, 9, 11]] = 1.0   # lower ordinates far above
-bad = build_airfoil(decode(DesignVector(v), crossed_bounds), 62)
+bad = build_airfoil(decode(DesignVector(v), crossed_bounds), 62)[0]
 print(f"\ncrossed surfaces: valid={bad.valid} (the trainer sees a penalty reward)")

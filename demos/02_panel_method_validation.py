@@ -26,7 +26,7 @@ print(f"Cp at the top (exact -3): {sol.cp[i90]:+.4f}")
 upper = np.array([[0.1, 0.035], [0.45, 0.042], [0.8, 0.018]])
 poly = ControlPolygon(upper=upper, lower=upper * np.array([1.0, -1.0]),
                       leading_edge_radius=0.008)
-shape = build_airfoil(poly, 202)
+shape = build_airfoil(poly, 202)[0]
 print(f"\ntest section: t/c = {shape.thickness_max:.3f}")
 
 print(f"{'alpha':>6} {'Cl (K-J)':>10} {'Cl (Cp int.)':>12} {'2 pi alpha':>11}")

@@ -24,16 +24,16 @@ def section(t_scale):
 # %% Drag vs thickness at fixed Reynolds number.
 print(f"{'t/c':>7} {'low-fi Cd':>10} {'high-fi Cd':>11}")
 for t_scale in (0.5, 1.0, 1.5, 2.0):
-    lo_shape = build_airfoil(section(t_scale), 62)
-    hi_shape = build_airfoil(section(t_scale), 202)
+    lo_shape = build_airfoil(section(t_scale), 62)[0]
+    hi_shape = build_airfoil(section(t_scale), 202)[0]
     lo = low_fidelity_cd(lo_shape, 7e6)
     hi = high_fidelity_cd(hi_shape, 7e6)
     print(f"{hi_shape.thickness_max:7.3f} {lo.cd:10.5f} {hi.cd:11.5f}"
           + ("" if hi.converged else "  (separated)"))
 
 # %% Drag vs Reynolds number at fixed shape: both fall, as skin friction does.
-lo_shape = build_airfoil(section(1.0), 62)
-hi_shape = build_airfoil(section(1.0), 202)
+lo_shape = build_airfoil(section(1.0), 62)[0]
+hi_shape = build_airfoil(section(1.0), 202)[0]
 print(f"\n{'Re_c':>9} {'low-fi Cd':>10} {'high-fi Cd':>11}")
 for re_c in (5e6, 7e6, 1e7):
     print(f"{re_c:9.1e} {low_fidelity_cd(lo_shape, re_c).cd:10.5f} "

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import boundary_layer as bl
 from .errors import ConfigError, SolverError
-from .geometry import AirfoilShape, DesignVector, GeometryBounds, build_airfoil, decode
+from .geometry import AirfoilShape, GeometryBounds, build_airfoil, decode
 from .panel import PanelWorkspace, solve_panel
 
 RE_FLOOR = 1e5
@@ -145,9 +145,14 @@ class Environment:
                               cp=None, cp_x=None, converged=True)
         return high_fidelity_cd(shape, re_c, alpha=self.alpha, work=self.work)
 
-    def build_shape(self, design) -> AirfoilShape:
-        polygon = decode(design, self.bounds)
+    def build_shapes(self, designs) -> list[AirfoilShape]:
+        """The shapes of a (B, 13) design stack, built in one call; one design is a stack of one."""
+        polygon = decode(designs, self.bounds)
         return build_airfoil(polygon, self.n_points, blend_fraction=self.blend_fraction)
+
+    def build_shape(self, design) -> AirfoilShape:
+        (shape,) = self.build_shapes(design)
+        return shape
 
     def step(self, design, re_c: float, penalty: float = DEFAULT_PENALTY):
         """One full episode: decode, build, evaluate; failures map to the penalty.
@@ -156,12 +161,23 @@ class Environment:
         counts as one environment evaluation, penalized episodes included.
         At low fidelity no panel solve runs, so ``info["cl"]`` is None there.
         """
+        return self._price(self.build_shape(design), re_c, penalty)
+
+    def step_round(self, designs, re_cs, penalty: float = DEFAULT_PENALTY) -> list:
+        """``step`` for every row of a (B, 13) design stack at its Reynolds number.
+
+        The B shapes are built in one call, then each is priced as ``step``
+        prices it; returns the B (reward, info) pairs in row order.
+        """
+        shapes = self.build_shapes(designs)
+        return [self._price(shape, re_c, penalty)
+                for shape, re_c in zip(shapes, re_cs, strict=True)]
+
+    def _price(self, shape: AirfoilShape, re_c: float, penalty: float):
+        """Reward and info of one built shape; counts one environment evaluation."""
         self.eval_count += 1
-        info = {"re_c": re_c, "valid": False, "converged": False,
-                "cd": None, "cl": None, "thickness_max": None}
-        shape = self.build_shape(design)
-        info["valid"] = shape.valid
-        info["thickness_max"] = shape.thickness_max
+        info = {"re_c": re_c, "valid": shape.valid, "converged": False,
+                "cd": None, "cl": None, "thickness_max": shape.thickness_max}
         if not shape.valid:
             return penalty, info
         try:

@@ -64,10 +64,14 @@ def _eval_settings(doc: dict):
     mu = ev["mu"] if ev["mu"] is not None else base["mu"]
     sigma = ev["sigma"] if ev["sigma"] is not None else base["sigma"]
     fidelity = ev["fidelity"] if ev["fidelity"] is not None else doc["target"]["fidelity"]
-    episodes = int(ev["episodes"])
+    try:
+        episodes = int(ev["episodes"])
+        mu, sigma = float(mu), float(sigma)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid evaluation value: {exc}") from exc
     if episodes < 0:
         raise ConfigError(f"evaluation.episodes must be >= 0, got {episodes}")
-    return StateDistribution(float(mu), float(sigma)), fidelity, episodes
+    return StateDistribution(mu, sigma), fidelity, episodes
 
 
 def cmd_train(args) -> int:
@@ -77,6 +81,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         doc["seed"] = int(args.seed)
     cfg = config_mod.build_run_config(doc)
+    _eval_settings(doc)  # only evaluate reads them, but a bad value is rejected before any run
 
     os.makedirs(args.out, exist_ok=True)
     report = orch.run_campaign(cfg, out_dir=args.out)

@@ -73,14 +73,18 @@ class GeometryBounds:
 
 @dataclass(frozen=True)
 class DesignVector:
-    """Normalized 13-entry action, every entry finite and in [-1, 1]."""
+    """Normalized 13-entry actions, every entry finite and in [-1, 1].
+
+    ``values`` holds one design, shape (13,), or a stack of B designs, shape
+    (B, 13).
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.shape != (N_DESIGN_VARS,):
+        if values.ndim not in (1, 2) or values.shape[-1] != N_DESIGN_VARS:
             raise InvalidAction(
                 f"design vector must have {N_DESIGN_VARS} entries, got shape {values.shape}"
             )
@@ -93,15 +97,16 @@ class DesignVector:
 
 @dataclass(frozen=True)
 class ControlPolygon:
-    """Free Bezier control points plus the leading-edge radius.
+    """Free Bezier control points plus the leading-edge radius, of one design or a stack.
 
     Endpoints are fixed at LE = (0, 0) and TE = (1, 0) and are not stored.
-    ``upper`` and ``lower`` are (3, 2) arrays ordered LE to TE.
+    ``upper`` and ``lower`` are (3, 2) arrays ordered LE to TE with a scalar
+    ``leading_edge_radius``, or (B, 3, 2) stacks with a (B,) radius array.
     """
 
     upper: np.ndarray
     lower: np.ndarray
-    leading_edge_radius: float
+    leading_edge_radius: float | np.ndarray
 
     LE = (0.0, 0.0)
     TE = (1.0, 0.0)
@@ -111,22 +116,28 @@ class ControlPolygon:
         lower = np.asarray(self.lower, dtype=float)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-        if upper.shape != (3, 2) or lower.shape != (3, 2):
+        if upper.ndim not in (2, 3) or upper.shape[-2:] != (3, 2) or lower.shape != upper.shape:
             raise ConfigError("control polygon needs 3 upper and 3 lower points")
         for pts in (upper, lower):
             if not np.isfinite(pts).all():
                 raise ConfigError("control points must be finite")
-            if (pts[:, 0] < 0.0).any() or (pts[:, 0] > 1.0).any():
+            if (pts[..., 0] < 0.0).any() or (pts[..., 0] > 1.0).any():
                 raise ConfigError("control point x-coordinates must lie in [0, 1]")
-        if not (np.isfinite(self.leading_edge_radius) and self.leading_edge_radius > 0):
+        radius = np.asarray(self.leading_edge_radius, dtype=float)
+        if radius.shape != upper.shape[:-2]:
+            raise ConfigError("control polygon needs one leading-edge radius per design")
+        if not (np.isfinite(radius).all() and (radius > 0).all()):
             raise ConfigError("leading-edge radius must be positive")
 
-    def upper_curve(self) -> np.ndarray:
-        """Full 5-point control sequence for the upper surface."""
-        return np.vstack([self.LE, self.upper, self.TE])
-
-    def lower_curve(self) -> np.ndarray:
-        return np.vstack([self.LE, self.lower, self.TE])
+    def curves(self) -> np.ndarray:
+        """Full 5-point control sequences, shape (2, B, 5, 2): upper then lower, LE to TE."""
+        upper = self.upper.reshape(-1, 3, 2)
+        out = np.empty((2, len(upper), 5, 2))
+        out[:, :, 0] = self.LE
+        out[0, :, 1:4] = upper
+        out[1, :, 1:4] = self.lower.reshape(-1, 3, 2)
+        out[:, :, 4] = self.TE
+        return out
 
 
 @dataclass
@@ -134,9 +145,10 @@ class AirfoilShape:
     """Closed discrete surface polyline.
 
     ``points`` runs trailing edge -> lower surface -> leading edge -> upper
-    surface -> trailing edge, first point equal to the last. ``valid`` is
-    False for self-intersecting or non-positive-thickness shapes; such shapes
-    are a normal outcome and are penalized upstream, never raised on.
+    surface -> trailing edge, first point equal to the last; it is read-only.
+    ``valid`` is False for self-intersecting or non-positive-thickness shapes;
+    such shapes are a normal outcome and are penalized upstream, never raised
+    on.
     """
 
     points: np.ndarray
@@ -146,26 +158,28 @@ class AirfoilShape:
 
 
 def decode(design, bounds: GeometryBounds) -> ControlPolygon:
-    """Map a normalized design vector onto its geometric ranges.
+    """Map normalized design vectors (one, or a (B, 13) stack) onto their geometric ranges.
 
     Each entry v in [-1, 1] goes to lo + (v + 1)/2 * (hi - lo).
     """
     if not isinstance(design, DesignVector):
-        design = DesignVector(np.asarray(design, dtype=float))
+        design = DesignVector(design)
     g = bounds.lo + 0.5 * (design.values + 1.0) * (bounds.hi - bounds.lo)
+    lead = g.shape[:-1]
     return ControlPolygon(
-        upper=g[_UPPER].reshape(3, 2),
-        lower=g[_LOWER].reshape(3, 2),
-        leading_edge_radius=float(g[_RADIUS]),
+        upper=g[..., _UPPER].reshape(lead + (3, 2)),
+        lower=g[..., _LOWER].reshape(lead + (3, 2)),
+        leading_edge_radius=g[..., _RADIUS][()],  # a scalar for one design
     )
 
 
 def encode(polygon: ControlPolygon, bounds: GeometryBounds) -> np.ndarray:
-    """Inverse of :func:`decode`: recover the normalized design vector."""
-    g = np.empty(N_DESIGN_VARS)
-    g[_UPPER] = polygon.upper.ravel()
-    g[_LOWER] = polygon.lower.ravel()
-    g[_RADIUS] = polygon.leading_edge_radius
+    """Inverse of :func:`decode`: recover the normalized design vectors."""
+    lead = polygon.upper.shape[:-2]
+    g = np.empty(lead + (N_DESIGN_VARS,))
+    g[..., _UPPER] = polygon.upper.reshape(lead + (6,))
+    g[..., _LOWER] = polygon.lower.reshape(lead + (6,))
+    g[..., _RADIUS] = polygon.leading_edge_radius
     return 2.0 * (g - bounds.lo) / (bounds.hi - bounds.lo) - 1.0
 
 
@@ -205,28 +219,33 @@ def _surface_basis(m: int) -> np.ndarray:
     return basis
 
 
-def _blend_nose_arc(pts: np.ndarray, radius: float, blend_fraction: float, side: float) -> np.ndarray:
-    """Blend the first part of a surface toward a nose circle of given radius.
+def _blend_nose_arcs(surfaces: np.ndarray, radius: np.ndarray, blend_fraction: float) -> None:
+    """Blend the first part of every surface toward its nose circle, in place.
 
-    The circle is tangent to the chord normal at the leading edge (center at
-    (radius, 0)). Points within ``s_b = min(blend_fraction, 1.5 * radius)`` of
-    arc length from the LE are pulled toward the circle with a smoothstep
-    weight that decays to zero at s_b. ``side`` is +1 for upper, -1 for lower.
+    ``surfaces`` is (2, B, m, 2), the upper surfaces then the lower ones, and
+    ``radius`` the (B,) leading-edge radii. Each circle is tangent to the
+    chord normal at the leading edge (center at (radius, 0)). Points within
+    ``s_b = min(blend_fraction, 1.5 * radius)`` of arc length from the LE are
+    pulled toward the circle with a smoothstep weight that decays to zero at
+    s_b. Every masked station of every surface is computed in one pass, with
+    the per-station arithmetic of a one-surface blend.
     """
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    s_b = min(blend_fraction, 1.5 * radius)
-    out = pts.copy()
-    inside = (s > 0.0) & (s < s_b)
+    seg = np.linalg.norm(np.diff(surfaces, axis=-2), axis=-1)
+    s = np.concatenate([np.zeros(seg.shape[:-1] + (1,)), np.cumsum(seg, axis=-1)], axis=-1)
+    s_b = np.minimum(blend_fraction, 1.5 * radius)
+    inside = (s > 0.0) & (s < s_b[:, None])
     if not inside.any():
-        return out
+        return
+    side, row, _ = np.nonzero(inside)
     si = s[inside]
-    phi = si / radius
-    circle = np.column_stack([radius * (1.0 - np.cos(phi)), side * radius * np.sin(phi)])
-    u = si / s_b
+    r = radius[row]
+    phi = si / r
+    # the side sign multiplies the radius first, as in side * radius * sin(phi)
+    side_r = np.where(side == 0, 1.0, -1.0) * r
+    circle = np.column_stack([r * (1.0 - np.cos(phi)), side_r * np.sin(phi)])
+    u = si / s_b[row]
     w = 1.0 - u * u * (3.0 - 2.0 * u)
-    out[inside] = w[:, None] * circle + (1.0 - w[:, None]) * pts[inside]
-    return out
+    surfaces[inside] = w[:, None] * circle + (1.0 - w[:, None]) * surfaces[inside]
 
 
 def _cross(o, a, b):
@@ -278,48 +297,47 @@ def check_n_points(n_points: int, name: str = "n_points") -> None:
         raise ConfigError(f"{name} must be an even number >= 42")
 
 
-def build_airfoil(polygon: ControlPolygon, n_points: int, blend_fraction: float = 0.02) -> AirfoilShape:
-    """Sample the control polygon into a closed surface polyline.
+def build_airfoil(polygon: ControlPolygon, n_points: int,
+                  blend_fraction: float = 0.02) -> list[AirfoilShape]:
+    """Sample every control polygon of a stack into a closed surface polyline.
 
-    Each surface gets n_points/2 cosine-clustered stations; the nose is blended
-    toward a circle of the polygon's leading-edge radius. Degenerate geometry
-    (crossed surfaces, self-intersection) is reported via ``valid``, never
-    raised.
+    Returns one shape per polygon; a single polygon is a stack of one. Each
+    surface gets n_points/2 cosine-clustered stations; the nose is blended
+    toward a circle of the polygon's leading-edge radius. The basis product,
+    the blend and the finiteness and monotonicity checks run once over the
+    whole stack; the thickness and crossing checks run per shape that passed
+    them. Degenerate geometry (crossed surfaces, self-intersection) is
+    reported via ``valid``, never raised.
     """
     check_n_points(n_points)
-    m = n_points // 2
-    basis = _surface_basis(m)
-    upper = basis @ polygon.upper_curve()
-    lower = basis @ polygon.lower_curve()
-    r = polygon.leading_edge_radius
-    upper = _blend_nose_arc(upper, r, blend_fraction, +1.0)
-    lower = _blend_nose_arc(lower, r, blend_fraction, -1.0)
+    surfaces = _surface_basis(n_points // 2) @ polygon.curves()
+    radius = np.reshape(polygon.leading_edge_radius, -1)
+    _blend_nose_arcs(surfaces, radius, blend_fraction)
+    upper, lower = surfaces
 
     # TE -> lower -> LE -> upper -> TE; endpoints are exact so the loop closes
-    points = np.vstack([lower[::-1], upper[1:]])
+    points = np.concatenate([lower[:, ::-1], upper[:, 1:]], axis=1)
+    points.flags.writeable = False
+    finite_monotone = np.isfinite(points).all(axis=(1, 2)) \
+        & (np.diff(surfaces[..., 0], axis=-1) > 0).all(axis=(0, 2))
 
-    valid = bool(np.isfinite(points).all())
-    thickness_min = 0.0
-    thickness_max = 0.0
-    xu, xl = upper[:, 0], lower[:, 0]
-    monotone = (np.diff(xu) > 0).all() and (np.diff(xl) > 0).all()
-    if valid and monotone:
-        x_lo = max(xu[0], xl[0])
-        x_hi = min(xu[-1], xl[-1])
-        stations = np.linspace(x_lo, x_hi, 201)[1:-1]
-        gap = np.interp(stations, xu, upper[:, 1]) - np.interp(stations, xl, lower[:, 1])
-        thickness_min = float(gap.min())
-        thickness_max = float(gap.max())
-        if thickness_min <= 0.0:
-            valid = False
-    else:
+    shapes = []
+    for b, row in enumerate(points):
         valid = False
-
-    if valid and _segments_cross(points):
-        valid = False
-
-    return AirfoilShape(points=points, valid=valid,
-                        thickness_min=thickness_min, thickness_max=thickness_max)
+        thickness_min = 0.0
+        thickness_max = 0.0
+        if finite_monotone[b]:
+            xu, xl = upper[b, :, 0], lower[b, :, 0]
+            x_lo = max(xu[0], xl[0])
+            x_hi = min(xu[-1], xl[-1])
+            stations = np.linspace(x_lo, x_hi, 201)[1:-1]
+            gap = np.interp(stations, xu, upper[b, :, 1]) - np.interp(stations, xl, lower[b, :, 1])
+            thickness_min = float(gap.min())
+            thickness_max = float(gap.max())
+            valid = thickness_min > 0.0 and not _segments_cross(row)
+        shapes.append(AirfoilShape(points=row, valid=valid,
+                                   thickness_min=thickness_min, thickness_max=thickness_max))
+    return shapes
 
 
 def selig_points(shape: AirfoilShape) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Training campaigns: source-phase learning, CTL-gated transfer, target phase.
 
-A round runs its T_L episodes one after another, then the PPO update, then the
-per-episode controller updates. Every episode draws from its own RNG stream
+A round draws its T_L episodes' states and actions one after another, prices
+the T_L designs as one stack, then runs the PPO update, then the per-episode
+controller updates. Every episode draws from its own RNG stream
 keyed by (seed, phase, global episode index), so every logged number is a
 function of (seed, config) alone. The worker count W only labels episode j of
 a round as worker j // (T_L / W) in the ``worker`` column of the episode log.
@@ -10,6 +11,7 @@ a round as worker j // (T_L / W) in the ``worker`` column of the episode log.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -108,6 +110,12 @@ class RunConfig:
             raise ConfigError(f"penalty must be finite and negative, got {self.penalty!r}")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"agent hidden widths must be >= 1, got {list(self.hidden)}")
+        if not (math.isfinite(self.blend_fraction) and 0.0 <= self.blend_fraction <= 1.0):
+            raise ConfigError(f"geometry.blend_fraction must lie in [0, 1], "
+                              f"got {self.blend_fraction!r}")
+        if not (math.isfinite(self.alpha) and abs(self.alpha) <= math.pi / 2):
+            raise ConfigError(f"environment.alpha_deg must lie in [-90, 90], "
+                              f"got {math.degrees(self.alpha)!r}")
         if self.ctl_window < 1:
             raise ConfigError("ctl window must be >= 1")
         if not 0.0 < self.ctl_gamma_cut < 1.0:
@@ -147,21 +155,25 @@ def episode_rng(seed: int, phase: str, episode_index: int) -> np.random.Generato
 
 def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
                   cfg: RunConfig, round_index: int) -> list[EpisodeRecord]:
-    """One pooled round of T_L episodes, in global episode order."""
+    """One pooled round of T_L episodes, in global episode order.
+
+    Each episode draws its state and acts from its own RNG stream; the
+    environment then builds and prices the T_L designs as one stack.
+    """
     t_l = cfg.episodes_per_update
     ref = cfg.resolve_state_ref()
-    records = []
+    drawn = []
     for j in range(t_l):
         rng = episode_rng(cfg.seed, phase.name, round_index * t_l + j)
         re_c = sample_state(phase.dist, rng)
         state = normalize_state(re_c, ref)
-        ga = act(params, state, rng)
-        v = value(params, state)
-        reward, info = env.step(DesignVector(ga.clipped_action), re_c, cfg.penalty)
-        records.append(EpisodeRecord(state=state, action=ga.action, log_prob_old=ga.log_prob,
-                                     reward=reward, value_old=v, re_c=re_c,
-                                     worker=j // (t_l // cfg.workers), info=info))
-    return records
+        drawn.append((re_c, state, act(params, state, rng), value(params, state)))
+    designs = DesignVector(np.array([ga.clipped_action for _, _, ga, _ in drawn]))
+    outcomes = env.step_round(designs, [re_c for re_c, _, _, _ in drawn], cfg.penalty)
+    return [EpisodeRecord(state=state, action=ga.action, log_prob_old=ga.log_prob,
+                          reward=reward, value_old=v, re_c=re_c,
+                          worker=j // (t_l // cfg.workers), info=info)
+            for j, ((re_c, state, ga, v), (reward, info)) in enumerate(zip(drawn, outcomes))]
 
 
 @dataclass

@@ -83,12 +83,12 @@ def symmetric_polygon(y1, y2, y3, r=0.01, x=(0.1, 0.45, 0.8)):
 @pytest.fixture(scope="session")
 def thick_shape_200():
     """~12% thick symmetric section sampled at 200 panels."""
-    return build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 202)
+    return build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 202)[0]
 
 
 @pytest.fixture(scope="session")
 def thick_shape_60():
-    return build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)
+    return build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)[0]
 
 
 # --- campaign experiment configuration --------------------------------------

@@ -1,7 +1,8 @@
 """Reference implementations of the physics kernels, kept as test oracles.
 
 These are the straightforward versions that the optimised kernels in
-``mflight`` replaced: an O(n^2) all-pairs segment crossing test, a
+``mflight`` replaced: an airfoil build of one control polygon at a time, an
+O(n^2) all-pairs segment crossing test, a
 boundary-layer march on numpy scalars that calls Head's rates and the
 correlations as functions, a panel assembly that rotates the vortex
 influence separately from the source influence, and a variance ratio that
@@ -31,7 +32,71 @@ from mflight.boundary_layer import (
 )
 from mflight.ctl import VARIANCE_FLOOR, window_statistic
 from mflight.errors import ConfigError, SolverError
+from mflight.geometry import AirfoilShape, _segments_cross, _surface_basis, check_n_points
 from mflight.panel import PIVOT_TOL, TWO_PI, PanelSolution, _panel_frames
+
+
+def _blend_nose_arc_reference(pts: np.ndarray, radius: float, blend_fraction: float,
+                              side: float) -> np.ndarray:
+    """Blend the first part of one surface toward a nose circle of given radius.
+
+    The circle is tangent to the chord normal at the leading edge (center at
+    (radius, 0)). Points within ``s_b = min(blend_fraction, 1.5 * radius)`` of
+    arc length from the LE are pulled toward the circle with a smoothstep
+    weight that decays to zero at s_b. ``side`` is +1 for upper, -1 for lower.
+    """
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s_b = min(blend_fraction, 1.5 * radius)
+    out = pts.copy()
+    inside = (s > 0.0) & (s < s_b)
+    if not inside.any():
+        return out
+    si = s[inside]
+    phi = si / radius
+    circle = np.column_stack([radius * (1.0 - np.cos(phi)), side * radius * np.sin(phi)])
+    u = si / s_b
+    w = 1.0 - u * u * (3.0 - 2.0 * u)
+    out[inside] = w[:, None] * circle + (1.0 - w[:, None]) * pts[inside]
+    return out
+
+
+def build_airfoil_reference(polygon, n_points: int, blend_fraction: float = 0.02) -> AirfoilShape:
+    """Sample one (3, 2) control polygon into a closed surface polyline."""
+    check_n_points(n_points)
+    m = n_points // 2
+    basis = _surface_basis(m)
+    upper = basis @ np.vstack([polygon.LE, polygon.upper, polygon.TE])
+    lower = basis @ np.vstack([polygon.LE, polygon.lower, polygon.TE])
+    r = float(polygon.leading_edge_radius)
+    upper = _blend_nose_arc_reference(upper, r, blend_fraction, +1.0)
+    lower = _blend_nose_arc_reference(lower, r, blend_fraction, -1.0)
+
+    # TE -> lower -> LE -> upper -> TE; endpoints are exact so the loop closes
+    points = np.vstack([lower[::-1], upper[1:]])
+
+    valid = bool(np.isfinite(points).all())
+    thickness_min = 0.0
+    thickness_max = 0.0
+    xu, xl = upper[:, 0], lower[:, 0]
+    monotone = (np.diff(xu) > 0).all() and (np.diff(xl) > 0).all()
+    if valid and monotone:
+        x_lo = max(xu[0], xl[0])
+        x_hi = min(xu[-1], xl[-1])
+        stations = np.linspace(x_lo, x_hi, 201)[1:-1]
+        gap = np.interp(stations, xu, upper[:, 1]) - np.interp(stations, xl, lower[:, 1])
+        thickness_min = float(gap.min())
+        thickness_max = float(gap.max())
+        if thickness_min <= 0.0:
+            valid = False
+    else:
+        valid = False
+
+    if valid and _segments_cross(points):
+        valid = False
+
+    return AirfoilShape(points=points, valid=valid,
+                        thickness_min=thickness_min, thickness_max=thickness_max)
 
 
 def segments_cross_reference(points: np.ndarray) -> bool:

@@ -120,10 +120,10 @@ def test_criterion_1_panel_solver_analytic_validation():
     theta = np.arctan2(sol.y_mid, sol.x_mid)
     cp_err = float(np.abs(sol.cp - (1.0 - 4.0 * np.sin(theta) ** 2)).max())
 
-    sym = build_airfoil(symmetric_polygon(0.045, 0.055, 0.02), 202)
+    sym = build_airfoil(symmetric_polygon(0.045, 0.055, 0.02), 202)[0]
     cl_sym = abs(solve_panel(sym.points, alpha=0.0).cl)
 
-    thin = build_airfoil(symmetric_polygon(0.035, 0.042, 0.018, r=0.008), 202)
+    thin = build_airfoil(symmetric_polygon(0.035, 0.042, 0.018, r=0.008), 202)[0]
     alpha = np.deg2rad(5.0)
     cl_thin = solve_panel(thin.points, alpha=alpha).cl
     cl_theory = 2.0 * np.pi * alpha

@@ -87,7 +87,7 @@ class TestLowFidelity:
         assert cd == pytest.approx(0.00589, abs=1e-5)
 
     def test_cd_increases_with_thickness(self, thick_shape_60):
-        thin = build_airfoil(symmetric_polygon(0.02, 0.025, 0.01), 62)
+        thin = build_airfoil(symmetric_polygon(0.02, 0.025, 0.01), 62)[0]
         cd_thin = low_fidelity_cd(thin, 6e6).cd
         cd_thick = low_fidelity_cd(thick_shape_60, 6e6).cd
         assert cd_thick > cd_thin

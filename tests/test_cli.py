@@ -96,6 +96,14 @@ class TestTrain:
         ["penalty=-Infinity"],
         ["agent.hidden=[0]"],
         ["agent.hidden=[64, -1]"],
+        ["geometry.blend_fraction=5"],
+        ["geometry.blend_fraction=-1"],
+        ["geometry.blend_fraction=NaN"],
+        ["environment.alpha_deg=1e9"],
+        ["environment.alpha_deg=-91"],
+        ["environment.alpha_deg=NaN"],
+        ["evaluation.episodes=-3"],
+        ["evaluation.episodes=x"],
     ], ids=lambda overrides: " ".join(overrides))
     def test_bad_value_exits_2_before_any_compute(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "c.json")
@@ -190,6 +198,24 @@ class TestEvaluate:
         assert cli.main(args + ["--config", str(tmp_path / "c.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "episodes must be >= 0" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("key, value", [("episodes", "x"), ("mu", "abc"), ("sigma", "abc")])
+    def test_non_numeric_evaluation_value_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  key, value):
+        def must_not_load(path):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_load)
+        doc = json.loads((BENCH / "configs" / "hifi_evaluate.json").read_text())
+        doc["evaluation"][key] = value
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        code = cli.main(["evaluate", "--checkpoint", str(BENCH / "eval.ckpt"),
+                         "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(value) in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "ev").exists()
 

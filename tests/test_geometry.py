@@ -109,7 +109,7 @@ class TestBezier:
 
 class TestBuildAirfoil:
     def test_symmetric_polygon_mirrors_exactly(self):
-        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.02), 62)
+        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.02), 62)[0]
         n = 31
         lower = shape.points[:n]          # TE -> LE
         upper = shape.points[n - 1:]      # LE -> TE
@@ -120,19 +120,19 @@ class TestBuildAirfoil:
         upper = np.array([[0.1, -0.05], [0.45, -0.06], [0.8, -0.02]])
         lower = np.array([[0.1, 0.05], [0.45, 0.06], [0.8, 0.02]])
         poly = ControlPolygon(upper=upper, lower=lower, leading_edge_radius=0.01)
-        shape = build_airfoil(poly, 62)
+        shape = build_airfoil(poly, 62)[0]
         assert not shape.valid
 
     def test_regression_snapshot(self):
         upper = np.array([[0.12, 0.055], [0.42, 0.071], [0.78, 0.028]])
         lower = np.array([[0.10, -0.041], [0.47, -0.052], [0.81, -0.016]])
         poly = ControlPolygon(upper=upper, lower=lower, leading_edge_radius=0.009)
-        shape = build_airfoil(poly, 62)
+        shape = build_airfoil(poly, 62)[0]
         stored = np.loadtxt("tests/data/airfoil_snapshot.txt")
         assert_allclose(shape.points, stored, atol=1e-12, rtol=0)
 
     def test_polyline_closed(self):
-        shape = build_airfoil(symmetric_polygon(0.04, 0.05, 0.02), 62)
+        shape = build_airfoil(symmetric_polygon(0.04, 0.05, 0.02), 62)[0]
         assert_allclose(shape.points[0], shape.points[-1], atol=1e-12, rtol=0)
         assert_allclose(shape.points[0], [1.0, 0.0], atol=1e-12, rtol=0)
 
@@ -143,8 +143,8 @@ class TestBuildAirfoil:
         mirrored = ControlPolygon(upper=lower * np.array([1.0, -1.0]),
                                   lower=upper * np.array([1.0, -1.0]),
                                   leading_edge_radius=0.008)
-        a = build_airfoil(poly, 62).points
-        b = build_airfoil(mirrored, 62).points
+        a = build_airfoil(poly, 62)[0].points
+        b = build_airfoil(mirrored, 62)[0].points
         assert_allclose(a[:, 0], b[::-1, 0], atol=1e-14)
         assert_allclose(a[:, 1], -b[::-1, 1], atol=1e-14)
 
@@ -153,11 +153,11 @@ class TestBuildAirfoil:
         rng = np.random.default_rng(3)
         for _ in range(100):
             poly = decode(DesignVector(rng.uniform(-1, 1, 13)), bounds)
-            shape = build_airfoil(poly, 44)
+            shape = build_airfoil(poly, 44)[0]
             assert np.isfinite(shape.points).all()
 
     def test_thickness_fields(self):
-        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.02), 62)
+        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.02), 62)[0]
         assert shape.valid
         assert 0.0 < shape.thickness_min < shape.thickness_max < 0.2
 
@@ -171,7 +171,7 @@ class TestBuildAirfoil:
 
 class TestSeligExport:
     def test_ordering_and_roundtrip(self, tmp_path):
-        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.02), 62)
+        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.02), 62)[0]
         pts = selig_points(shape)
         # Selig: TE -> upper -> LE -> lower -> TE
         assert_allclose(pts[0], [1.0, 0.0], atol=1e-12)

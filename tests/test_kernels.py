@@ -5,6 +5,7 @@ Each kernel must give bit-identical results to the straightforward version in
 trajectory, so the campaign artifacts would no longer reproduce.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from mflight import boundary_layer as bl
 from mflight.aeroenv import RE_FLOOR, low_fidelity_cd, make_environment
 from mflight.ctl import TransferController
-from mflight.errors import ConfigError, SolverError
+from mflight.errors import ConfigError, InvalidAction, SolverError
 from mflight.geometry import (
     GeometryBounds,
     _cosine_params,
@@ -30,6 +31,7 @@ from mflight.panel import PanelWorkspace, solve_panel
 
 from conftest import experiment_bounds, symmetric_polygon
 from reference_kernels import (
+    build_airfoil_reference,
     march_surface_reference,
     segments_cross_reference,
     solve_panel_reference,
@@ -53,9 +55,48 @@ def widened_bounds() -> GeometryBounds:
     return GeometryBounds(lo=lo, hi=hi)
 
 
+def wide_bounds() -> GeometryBounds:
+    """Every control point anywhere in [0, 1] x [-0.25, 0.25]: x may run backwards too."""
+    lo = np.array([0.0, -0.25] * 6 + [0.002])
+    hi = np.array([1.0, 0.25] * 6 + [0.05])
+    return GeometryBounds(lo=lo, hi=hi)
+
+
+BOXES = {"default": GeometryBounds, "narrow": experiment_bounds, "wide": wide_bounds}
+design_stacks = hnp.arrays(np.float64, st.tuples(st.integers(1, 25), st.just(13)),
+                           elements=st.floats(-1.0, 1.0))
+
+
+def assert_stack_matches_reference(designs, bounds, n_points):
+    """Each shape of one stacked build equals the one-polygon reference build; returns the latter."""
+    shapes = build_airfoil(decode(designs, bounds), n_points)
+    assert len(shapes) == len(designs)
+    refs = []
+    for design, shape in zip(designs, shapes):
+        ref = build_airfoil_reference(decode(design, bounds), n_points)
+        assert shape.points.shape == ref.points.shape
+        assert shape.points.tobytes() == ref.points.tobytes()
+        assert shape.valid == ref.valid
+        assert bits(shape.thickness_min) == bits(ref.thickness_min)
+        assert bits(shape.thickness_max) == bits(ref.thickness_max)
+        refs.append(ref)
+    return refs
+
+
+def outcome(shape, n_points):
+    """Why a reference shape is (in)valid: the first check it fails."""
+    m = n_points // 2
+    x = shape.points[:, 0]
+    if not ((np.diff(x[:m]) < 0).all() and (np.diff(x[m - 1:]) > 0).all()):
+        return "non-monotone"
+    if shape.thickness_min <= 0.0:
+        return "non-positive thickness"
+    return "valid" if shape.valid else "crossed"
+
+
 def monotone_points(design, bounds, n_points):
     """The polyline of a design whose two surfaces are strictly x-monotone, else None."""
-    points = build_airfoil(decode(design, bounds), n_points).points
+    points = build_airfoil(decode(design, bounds), n_points)[0].points
     m = n_points // 2
     x = points[:, 0]
     if not (np.isfinite(points).all() and (np.diff(x[:m]) < 0).all()
@@ -79,7 +120,7 @@ def seeded_shapes(seed, count):
     while len(out) < count:
         bounds = boxes[int(rng.integers(2))]
         n_points = (62, 202)[int(rng.integers(2))]
-        shape = build_airfoil(decode(rng.uniform(-1.0, 1.0, 13), bounds), n_points)
+        shape = build_airfoil(decode(rng.uniform(-1.0, 1.0, 13), bounds), n_points)[0]
         alpha = float(rng.uniform(-0.1, 0.1))
         if shape.valid:
             out.append((shape.points, alpha))
@@ -120,6 +161,55 @@ class TestSegmentsCross:
         assert any(verdicts) and not all(verdicts)
 
 
+class TestStackedBuild:
+    """One stacked build gives every shape of the one-polygon build bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(designs=design_stacks, box=st.sampled_from(sorted(BOXES)),
+           n_points=st.sampled_from([62, 202]))
+    def test_each_row_equals_the_reference(self, designs, box, n_points):
+        assert_stack_matches_reference(designs, BOXES[box](), n_points)
+
+    def test_wide_box_sweep_sees_every_outcome(self):
+        rng = np.random.default_rng(4)
+        seen = set()
+        for designs in rng.uniform(-1.0, 1.0, (160, 25, 13)):
+            refs = assert_stack_matches_reference(designs, wide_bounds(), 62)
+            seen.update(outcome(ref, 62) for ref in refs)
+        assert seen == {"valid", "non-monotone", "non-positive thickness", "crossed"}
+
+    def test_stack_of_one_is_the_single_design(self):
+        design = np.random.default_rng(5).uniform(-1.0, 1.0, 13)
+        (single,) = build_airfoil(decode(design, GeometryBounds()), 62)
+        (stacked,) = build_airfoil(decode(design[None], GeometryBounds()), 62)
+        assert single.points.tobytes() == stacked.points.tobytes()
+
+    def test_shapes_do_not_share_writable_points(self):
+        designs = np.random.default_rng(6).uniform(-1.0, 1.0, (4, 13))
+        shapes = build_airfoil(decode(designs, GeometryBounds()), 62)
+        for a, b in itertools.combinations(shapes, 2):
+            assert not np.shares_memory(a.points, b.points)
+        for shape in shapes:
+            with pytest.raises(ValueError):
+                shape.points[1, 1] = 0.5
+
+    def test_invalid_row_raises_the_typed_error(self):
+        designs = np.zeros((5, 13))
+        designs[3, 2] = np.nan
+        with pytest.raises(InvalidAction, match="non-finite"):
+            decode(designs, GeometryBounds())
+        designs[3, 2] = 1.5
+        with pytest.raises(InvalidAction, match="out of"):
+            decode(designs, GeometryBounds())
+        with pytest.raises(InvalidAction, match="13 entries"):
+            decode(np.zeros((2, 3, 13)), GeometryBounds())
+        lo = np.array([-0.5, 0.0] * 6 + [0.002])
+        hi = np.array([1.0, 0.1] * 6 + [0.05])
+        designs[3, 2] = -1.0    # x of an upper point decodes to -0.5
+        with pytest.raises(ConfigError, match="x-coordinates"):
+            decode(designs, GeometryBounds(lo=lo, hi=hi))
+
+
 class TestSurfaceBasis:
     @settings(max_examples=100, deadline=None)
     @given(design=actions, n_points=st.sampled_from([62, 202]))
@@ -128,7 +218,7 @@ class TestSurfaceBasis:
         m = n_points // 2
         basis = _surface_basis(m)
         assert not basis.flags.writeable
-        for ctrl in (polygon.upper_curve(), polygon.lower_curve()):
+        for ctrl in polygon.curves()[:, 0]:
             assert np.array_equal(basis @ ctrl, bezier_eval(ctrl, _cosine_params(m)))
 
 
@@ -136,7 +226,7 @@ class TestMarch:
     @settings(max_examples=150, deadline=None)
     @given(design=actions, re_c=reynolds)
     def test_bitwise_on_panel_surfaces(self, design, re_c):
-        shape = build_airfoil(decode(design, GeometryBounds()), 202)
+        shape = build_airfoil(decode(design, GeometryBounds()), 202)[0]
         assume(shape.valid)
         sol = solve_panel(shape.points)
         for s, ue, x in bl.split_surfaces(sol.x_mid, sol.y_mid, sol.vt):
@@ -158,7 +248,7 @@ class TestSolvePanel:
     @given(design=actions, n_points=st.sampled_from([62, 202]),
            alpha=st.floats(-0.1, 0.1))
     def test_equal_to_reference_assembly(self, design, n_points, alpha):
-        shape = build_airfoil(decode(design, GeometryBounds()), n_points)
+        shape = build_airfoil(decode(design, GeometryBounds()), n_points)[0]
         assume(shape.valid)
         new = solve_panel(shape.points, alpha=alpha)
         ref = solve_panel_reference(shape.points, alpha=alpha)
@@ -199,7 +289,7 @@ class TestSolvePanel:
 
     @pytest.mark.parametrize("case", ["singular", "nan_node"])
     def test_solver_error_leaves_the_workspace_usable(self, case):
-        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)
+        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)[0]
         if case == "singular":
             # coincident upper and lower surfaces give a singular system
             x = np.concatenate([np.linspace(1.0, 0.0, 31), np.linspace(0.0, 1.0, 31)[1:]])
@@ -215,7 +305,7 @@ class TestSolvePanel:
                                solve_panel(shape.points, alpha=0.03))
 
     def test_wrong_panel_count_raises(self):
-        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 202)
+        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 202)[0]
         with pytest.raises(ConfigError, match="workspace"):
             solve_panel(shape.points, work=PanelWorkspace(60))
         with pytest.raises(ConfigError):
@@ -239,7 +329,7 @@ class TestLowFidelityReward:
 
     def test_evaluate_still_solves(self):
         env = make_environment("low")
-        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)
+        shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)[0]
         result = env.evaluate(shape, 6e6)
         assert result.cl == pytest.approx(0.0, abs=1e-9)
         assert len(result.cp) == 60

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mflight import agent
-from mflight.aeroenv import StateDistribution, make_environment
+from mflight.aeroenv import StateDistribution, make_environment, sample_state
 from mflight.agent import load_checkpoint
 from mflight.errors import ConfigError, RunError, SchemaError, SolverError
+from mflight.geometry import DesignVector
 from mflight.orchestrator import (
     PhaseSpec,
     RunConfig,
@@ -91,6 +92,29 @@ class TestCollectRound:
                 assert a.reward == b.reward
                 assert a.log_prob_old == b.log_prob_old
                 assert_allclose(a.action, b.action, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("fidelity", ["low", "high"])
+    def test_stacked_round_equals_episode_by_episode_steps(self, fidelity):
+        cfg = small_cfg(workers=1)
+        cfg.validate()
+        params = agent.init_params(np.random.default_rng(3))
+        env = make_environment(fidelity, bounds=cfg.bounds)
+        records = collect_round(cfg.target, env, params, cfg, 2)
+        one_env = make_environment(fidelity, bounds=cfg.bounds)
+        ref = cfg.resolve_state_ref()
+        t_l = cfg.episodes_per_update
+        for j, rec in enumerate(records):
+            rng = episode_rng(cfg.seed, "target", 2 * t_l + j)
+            re_c = sample_state(cfg.target.dist, rng)
+            state = normalize_state(re_c, ref)
+            ga = agent.act(params, state, rng)
+            reward, info = one_env.step(DesignVector(ga.clipped_action), re_c, cfg.penalty)
+            assert repr((rec.re_c, rec.state, rec.reward, rec.info)) \
+                == repr((re_c, state, reward, info)), j
+            assert repr((rec.log_prob_old, rec.value_old)) \
+                == repr((ga.log_prob, agent.value(params, state))), j
+            assert rec.action.tobytes() == ga.action.tobytes(), j
+        assert env.eval_count == one_env.eval_count == t_l
 
     def test_starts_no_threads(self, monkeypatch):
         def refuse(thread):

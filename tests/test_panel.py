@@ -39,13 +39,13 @@ class TestCylinder:
 
 class TestAirfoil:
     def test_symmetric_zero_alpha_zero_lift(self):
-        shape = build_airfoil(symmetric_polygon(0.045, 0.055, 0.02), 202)
+        shape = build_airfoil(symmetric_polygon(0.045, 0.055, 0.02), 202)[0]
         sol = solve_panel(shape.points, alpha=0.0)
         assert abs(sol.cl) <= 1e-6
 
     def test_thin_airfoil_lift_slope(self):
         # ~6% thick symmetric section at 5 degrees vs 2*pi*alpha
-        shape = build_airfoil(symmetric_polygon(0.035, 0.042, 0.018, r=0.008), 202)
+        shape = build_airfoil(symmetric_polygon(0.035, 0.042, 0.018, r=0.008), 202)[0]
         assert shape.valid
         assert 0.05 < shape.thickness_max < 0.07
         alpha = np.deg2rad(5.0)
@@ -54,21 +54,21 @@ class TestAirfoil:
         assert sol.cl == pytest.approx(cl_theory, rel=0.15)
 
     def test_kutta_joukowski_agrees_with_pressure_integration(self):
-        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.025), 202)
+        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.025), 202)[0]
         alpha = np.deg2rad(4.0)
         sol = solve_panel(shape.points, alpha=alpha)
         cl_cp = lift_from_pressure(sol, shape.points, alpha=alpha)
         assert sol.cl == pytest.approx(cl_cp, rel=0.05)
 
     def test_deterministic(self):
-        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.025), 62)
+        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.025), 62)[0]
         a = solve_panel(shape.points, alpha=0.01)
         b = solve_panel(shape.points, alpha=0.01)
         assert_allclose(a.cp, b.cp, rtol=0, atol=0)
         assert a.cl == b.cl
 
     def test_lift_increases_with_alpha(self):
-        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.025), 62)
+        shape = build_airfoil(symmetric_polygon(0.05, 0.06, 0.025), 62)[0]
         cls = [solve_panel(shape.points, alpha=np.deg2rad(a)).cl for a in (0.0, 2.0, 4.0)]
         assert cls[0] < cls[1] < cls[2]
 
