@@ -5,10 +5,14 @@ checked against central finite differences in the test suite. The policy is a
 diagonal Gaussian with a state-independent learned log-std; actions are
 sampled pre-clip (log-probabilities refer to the unclipped sample) and clamped
 to [-1, 1] before they reach the environment.
+
+All parameters live in one vector, ``PolicyParams.flat``, that :func:`layout`
+names in checkpoint order; the weights, biases and ``log_std`` are views into it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -34,97 +38,92 @@ def orthogonal(rng: np.random.Generator, n_in: int, n_out: int, gain: float) -> 
     return gain * q[:n_in, :n_out]
 
 
+def layout(sizes: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter array, in checkpoint order, for policy widths
+    ``sizes`` (state, hidden..., action); the value net has one output."""
+    def mlp(prefix: str, widths: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
+        return [entry for i in range(len(widths) - 1)
+                for entry in ((f"{prefix}.w{i}", (widths[i], widths[i + 1])),
+                              (f"{prefix}.b{i}", (widths[i + 1],)))]
+
+    return mlp("policy", sizes) + [("log_std", (sizes[-1],))] + mlp("value", (*sizes[:-1], 1))
+
+
+@dataclass
 class Mlp:
     """Fully connected tanh network with linear output and cached backprop."""
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = weights
-        self.biases = biases
-
-    @classmethod
-    def create(cls, sizes: tuple[int, ...], rng: np.random.Generator,
-               hidden_gain: float = 1.0, out_gain: float = 0.01) -> "Mlp":
-        weights, biases = [], []
-        for i in range(len(sizes) - 1):
-            gain = out_gain if i == len(sizes) - 2 else hidden_gain
-            weights.append(orthogonal(rng, sizes[i], sizes[i + 1], gain))
-            biases.append(np.zeros(sizes[i + 1]))
-        return cls(weights, biases)
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
 
-    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        h = x
-        n = len(self.weights)
+    def forward(self, h: np.ndarray, cache: list | None = None) -> np.ndarray:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if cache is not None:
                 cache.append(h)
             h = h @ w + b
-            if i < n - 1:
+            if i < len(self.weights) - 1:
                 h = np.tanh(h)
         return h
 
-    def backward(self, cache: list, grad_out: np.ndarray):
-        """Gradients of a scalar loss given d(loss)/d(output).
-
-        Returns (weight grads, bias grads, d(loss)/d(input)).
-        """
-        n = len(self.weights)
-        gw = [None] * n
-        gb = [None] * n
+    def backward(self, cache: list, grad_out: np.ndarray, out: "Mlp") -> None:
+        """Write the gradients of a scalar loss, given d(loss)/d(output), into ``out``
+        (this network's shapes; typically views of a gradient vector)."""
         g = grad_out
-        for i in range(n - 1, -1, -1):
-            h_in = cache[i]
-            gw[i] = h_in.T @ g
-            gb[i] = g.sum(axis=0)
-            g = g @ self.weights[i].T
+        for i in range(len(self.weights) - 1, -1, -1):
+            np.matmul(cache[i].T, g, out=out.weights[i])
+            g.sum(axis=0, out=out.biases[i])
             if i > 0:
-                g = g * (1.0 - cache[i] ** 2)  # cache holds tanh outputs
-        return gw, gb, g
-
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+                g = (g @ self.weights[i].T) * (1.0 - cache[i] ** 2)  # cache holds tanh outputs
 
 
-@dataclass
 class PolicyParams:
-    """All trainable parameters: policy mean net, log-std vector, value net."""
+    """All trainable parameters in one float64 vector ``flat``, laid out by :func:`layout`;
+    ``policy`` (mean net), ``log_std`` and ``value`` are views into it."""
 
-    policy: Mlp
-    log_std: np.ndarray
-    value: Mlp
+    def __init__(self, sizes: tuple[int, ...], flat: np.ndarray | None = None):
+        named = layout(sizes)
+        ends = list(itertools.accumulate(math.prod(shape) for _, shape in named))
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        self._tensors = [(name, self.flat[end - math.prod(shape):end].reshape(shape))
+                         for (name, shape), end in zip(named, ends)]
+        t = [view for _, view in self._tensors]  # policy w/b pairs, log_std, value w/b pairs
+        d = len(sizes) - 1
+        self.policy = Mlp(t[:2 * d:2], t[1:2 * d:2])
+        self.log_std = t[2 * d]
+        self.value = Mlp(t[2 * d + 1::2], t[2 * d + 2::2])
 
     @property
     def action_dim(self) -> int:
         return len(self.log_std)
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Named views of every parameter array, in a stable order."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.policy.weights, self.policy.biases)):
-            out.append((f"policy.w{i}", w))
-            out.append((f"policy.b{i}", b))
-        out.append(("log_std", self.log_std))
-        for i, (w, b) in enumerate(zip(self.value.weights, self.value.biases)):
-            out.append((f"value.w{i}", w))
-            out.append((f"value.b{i}", b))
-        return out
+        """Named views of every parameter array, in checkpoint order."""
+        return self._tensors
+
+    def views(self, vec: np.ndarray) -> "PolicyParams":
+        """The same layout over another vector, such as a gradient; nothing is copied."""
+        return PolicyParams(self.policy.sizes, vec)
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.policy.copy(), self.log_std.copy(), self.value.copy())
+        return self.views(self.flat.copy())
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(t).all() for _, t in self.tensors())
+        return bool(np.isfinite(self.flat).all())
 
 
 def init_params(rng: np.random.Generator, state_dim: int = 1, action_dim: int = 13,
                 hidden: tuple[int, ...] = (64, 64), log_std_init: float = -0.5) -> PolicyParams:
-    policy = Mlp.create((state_dim, *hidden, action_dim), rng)
-    value = Mlp.create((state_dim, *hidden, 1), rng)
-    log_std = np.full(action_dim, float(log_std_init))
-    return PolicyParams(policy=policy, log_std=log_std, value=value)
+    """Orthogonal weights, drawn for the policy layers and then the value layers; zero biases."""
+    params = PolicyParams((state_dim, *hidden, action_dim))
+    for net in (params.policy, params.value):
+        for i, w in enumerate(net.weights):
+            w[...] = orthogonal(rng, *w.shape, 0.01 if i == len(hidden) else 1.0)
+    params.log_std[...] = log_std_init
+    return params
 
 
 def _as_batch(state) -> np.ndarray:
@@ -234,32 +233,31 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path, params: PolicyParams, extras: dict[str, np.ndarray] | None = None) -> None:
-    arrays = {name: t for name, t in params.tensors()}
-    if extras:
-        for k, v in extras.items():
-            arrays[f"extra.{k}"] = np.asarray(v, dtype=float)
+    arrays = dict(params.tensors())
+    arrays.update({f"extra.{k}": np.asarray(v, dtype=float) for k, v in (extras or {}).items()})
     save_arrays(path, arrays)
 
 
-def _mlp_from(arrays: dict[str, np.ndarray], prefix: str) -> Mlp:
-    weights, biases = [], []
-    i = 0
-    while f"{prefix}.w{i}" in arrays:
-        weights.append(arrays[f"{prefix}.w{i}"])
-        biases.append(arrays[f"{prefix}.b{i}"])
-        i += 1
-    if not weights:
-        raise CheckpointError(f"checkpoint is missing {prefix} network arrays")
-    return Mlp(weights, biases)
-
-
 def load_checkpoint(path):
-    """Load (params, extras) from a checkpoint file."""
+    """Load (params, extras) from a checkpoint file.
+
+    The widths come from the ``policy.w{i}`` chain; besides ``extra.*`` the
+    file must hold exactly the arrays :func:`layout` names for them.
+    """
     arrays = load_arrays(path)
-    if "log_std" not in arrays:
-        raise CheckpointError(f"checkpoint {path} has no log_std array")
-    params = PolicyParams(policy=_mlp_from(arrays, "policy"),
-                          log_std=arrays["log_std"],
-                          value=_mlp_from(arrays, "value"))
+    chain = []
+    while arrays.get(f"policy.w{len(chain)}", np.empty(0)).ndim == 2:
+        chain.append(arrays[f"policy.w{len(chain)}"].shape)
+    if not chain:
+        raise CheckpointError(f"checkpoint {path} has no 2-d policy.w0 array")
+    sizes = (chain[0][0], *(n_out for _, n_out in chain))
+    expected = dict(layout(sizes))
+    found = {name: v.shape for name, v in arrays.items() if not name.startswith("extra.")}
+    wrong = [f"{name} is {found.get(name, 'missing')}, expected {expected.get(name, 'none')}"
+             for name in {**expected, **found} if found.get(name) != expected.get(name)]
+    if wrong:
+        raise CheckpointError(f"checkpoint {path} does not hold a policy of widths {sizes}: "
+                              + "; ".join(wrong))
+    params = PolicyParams(sizes, np.concatenate([arrays[name].ravel() for name in expected]))
     extras = {k[len("extra."):]: v for k, v in arrays.items() if k.startswith("extra.")}
     return params, extras

@@ -64,8 +64,8 @@ def _eval_settings(doc: dict):
     mu = ev["mu"] if ev["mu"] is not None else base["mu"]
     sigma = ev["sigma"] if ev["sigma"] is not None else base["sigma"]
     fidelity = ev["fidelity"] if ev["fidelity"] is not None else doc["target"]["fidelity"]
+    episodes = config_mod.as_int(ev["episodes"], "evaluation.episodes")
     try:
-        episodes = int(ev["episodes"])
         mu, sigma = float(mu), float(sigma)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid evaluation value: {exc}") from exc

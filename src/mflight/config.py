@@ -192,12 +192,24 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return validate_document(doc)
 
 
+def as_int(value, key: str) -> int:
+    """An integer config value; a boolean or a number with a fraction raises ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def _phase(name: str, section: dict | None) -> PhaseSpec | None:
     if section is None:
         return None
     return PhaseSpec(name=name, fidelity=section["fidelity"],
                      dist=StateDistribution(float(section["mu"]), float(section["sigma"])),
-                     max_episodes=int(section["max_episodes"]))
+                     max_episodes=as_int(section["max_episodes"], f"{name}.max_episodes"))
 
 
 def build_run_config(doc: dict) -> RunConfig:
@@ -226,25 +238,25 @@ def build_run_config(doc: dict) -> RunConfig:
             mode=doc["mode"],
             source=_phase("source", doc.get("source")),
             target=_phase("target", doc["target"]),
-            ppo=PpoConfig(**{k: (int(v) if k == "epochs_per_update" else float(v))
+            ppo=PpoConfig(**{k: (as_int(v, f"ppo.{k}") if k == "epochs_per_update" else float(v))
                              for k, v in ppo_doc.items()}),
-            workers=int(doc["workers"]),
-            episodes_per_update=int(doc["episodes_per_update"]),
-            seed=int(doc["seed"]),
+            workers=as_int(doc["workers"], "workers"),
+            episodes_per_update=as_int(doc["episodes_per_update"], "episodes_per_update"),
+            seed=as_int(doc["seed"], "seed"),
             penalty=float(doc["penalty"]),
-            hidden=tuple(int(h) for h in doc["agent"]["hidden"]),
+            hidden=tuple(as_int(h, "agent.hidden") for h in doc["agent"]["hidden"]),
             log_std_init=float(doc["agent"]["log_std_init"]),
-            ctl_window=int(doc["ctl"]["window"]),
+            ctl_window=as_int(doc["ctl"]["window"], "ctl.window"),
             ctl_gamma_cut=float(doc["ctl"]["gamma_cut"]),
             force_transfer=force_transfer,
             bounds=bounds,
             alpha=float(np.deg2rad(float(doc["environment"]["alpha_deg"]))),
             blend_fraction=float(geo["blend_fraction"]),
-            n_points_low=int(geo["n_points_low"]),
-            n_points_high=int(geo["n_points_high"]),
+            n_points_low=as_int(geo["n_points_low"], "geometry.n_points_low"),
+            n_points_high=as_int(geo["n_points_high"], "geometry.n_points_high"),
             state_ref=state_ref,
             threshold_fraction=float(doc["evaluation"]["threshold_fraction"]),
-            tail_episodes=int(doc["evaluation"]["tail_episodes"]),
+            tail_episodes=as_int(doc["evaluation"]["tail_episodes"], "evaluation.tail_episodes"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc

@@ -6,6 +6,8 @@ The loss is
 with r_t = exp(logpi_new - logpi_old). Gradients are assembled by hand from
 the agent's MLP backward passes; at the min/clip kinks the unclipped branch
 wins ties. One pooled batch is one minibatch (the batches here are tiny).
+The gradient and Adam's moments are vectors laid out like ``PolicyParams.flat``:
+a step, a finite check, a backup and a rollback are whole-vector operations.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class PpoConfig:
             raise ValueError("clip_epsilon must lie in (0, 1)")
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be >= 0")
+        if self.epochs_per_update < 1:
+            raise ValueError("epochs_per_update must be >= 1")
 
 
 @dataclass
@@ -146,21 +150,14 @@ def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConf
     dlogp = np.where(active, -ratio * adv / b, 0.0)           # d loss / d logp_new
     z = (batch.actions - mean) / std
     dmean = dlogp[:, None] * z / std                          # d logp/d mean = z/std
-    gw_p, gb_p, _ = params.policy.backward(pol_cache, dmean)
     dlog_std = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0)   # d logp/d log_std
     dlog_std -= cfg.entropy_coeff * np.ones(d)                # d entropy/d log_std = 1
 
     dv = (2.0 * cfg.value_coeff / b) * (v - batch.returns)
-    gw_v, gb_v, _ = params.value.backward(val_cache, dv[:, None])
-
-    grads: dict[str, np.ndarray] = {}
-    for i in range(len(gw_p)):
-        grads[f"policy.w{i}"] = gw_p[i]
-        grads[f"policy.b{i}"] = gb_p[i]
-    grads["log_std"] = dlog_std
-    for i in range(len(gw_v)):
-        grads[f"value.w{i}"] = gw_v[i]
-        grads[f"value.b{i}"] = gb_v[i]
+    grad = params.views(np.empty_like(params.flat))
+    params.policy.backward(pol_cache, dmean, grad.policy)
+    grad.log_std[...] = dlog_std
+    params.value.backward(val_cache, dv[:, None], grad.value)
 
     stats = UpdateStats(
         mean_ratio=float(ratio.mean()),
@@ -170,15 +167,18 @@ def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConf
         entropy=entropy,
         kl=float((batch.log_probs_old - logp_new).mean()),
     )
-    return float(loss), grads, stats
+    return float(loss), grad.flat, stats
 
 
-def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_grad_norm(grad: np.ndarray, params: PolicyParams, max_norm: float) -> float:
+    """Scale ``grad`` (laid out like ``params.flat``) to norm at most ``max_norm``.
+
+    The squared norm is summed array by array in layout order: one sum over
+    the whole vector would round differently.
+    """
+    total = np.sqrt(sum(float((g * g).sum()) for _, g in params.views(grad).tensors()))
     if total > max_norm > 0.0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
     return float(total)
 
 
@@ -187,34 +187,27 @@ class Adam:
 
     def __init__(self, params: PolicyParams, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(t) for name, t in params.tensors()}
-        self.v = {name: np.zeros_like(t) for name, t in params.tensors()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
-    def step(self, params: PolicyParams, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: PolicyParams, grad: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, tensor in params.tensors():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            tensor -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        params.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
 class PpoTrainer:
     """Owns the mutable parameters and optimizer state.
 
-    :meth:`update` changes ``params`` in place (or replaces it on rollback), so
-    a caller that needs the parameters as they were keeps a ``params.copy()``.
+    :meth:`update` changes ``params`` in place, so a caller that needs the
+    parameters as they were keeps a ``params.copy()``.
     """
 
     def __init__(self, params: PolicyParams, cfg: PpoConfig):
@@ -226,38 +219,34 @@ class PpoTrainer:
         """Run epochs of full-batch gradient steps; roll back on bad gradients."""
         cfg = self.cfg
         batch = replace(batch, advantages=normalize_advantages(batch.advantages))
-        backup = self.params.copy()
-        opt_backup = (self.opt.t, {k: v.copy() for k, v in self.opt.m.items()},
-                      {k: v.copy() for k, v in self.opt.v.items()})
-        stats = None
+        backup = (self.params.flat.copy(), self.opt.t, self.opt.m.copy(), self.opt.v.copy())
         epochs_run = 0
         for _ in range(cfg.epochs_per_update):
-            loss, grads, stats = clipped_surrogate(batch, self.params, cfg)
-            if not np.isfinite(loss) or not all(np.isfinite(g).all() for g in grads.values()):
+            loss, grad, stats = clipped_surrogate(batch, self.params, cfg)
+            if not np.isfinite(loss) or not np.isfinite(grad).all():
                 log.warning("non-finite loss or gradient: restoring previous parameters")
-                self._restore(backup, opt_backup)
-                stats.aborted = True
-                stats.epochs_run = epochs_run
-                return stats
-            clip_grad_norm(grads, cfg.max_grad_norm)
-            self.opt.step(self.params, grads)
+                return self._roll_back(backup, stats, epochs_run)
+            clip_grad_norm(grad, self.params, cfg.max_grad_norm)
+            self.opt.step(self.params, grad)
             np.clip(self.params.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.params.log_std)
             epochs_run += 1
             if not self.params.all_finite():
                 log.warning("non-finite parameter after step: rolling back update")
-                self._restore(backup, opt_backup)
-                stats.aborted = True
-                stats.epochs_run = epochs_run
-                return stats
+                return self._roll_back(backup, stats, epochs_run)
             mean = self.params.policy.forward(batch.states)
             logp = gaussian_log_prob(batch.actions, mean, self.params.log_std)
-            kl = float((batch.log_probs_old - logp).mean())
-            stats.kl = kl
-            if kl > cfg.kl_stop:
+            stats.kl = float((batch.log_probs_old - logp).mean())
+            if stats.kl > cfg.kl_stop:
                 break
         stats.epochs_run = epochs_run
         return stats
 
-    def _restore(self, params: PolicyParams, opt_state) -> None:
-        self.params = params
-        self.opt.t, self.opt.m, self.opt.v = opt_state
+    def _roll_back(self, backup, stats: UpdateStats, epochs_run: int) -> UpdateStats:
+        """Write the pre-update parameters and optimizer state back in place."""
+        flat, self.opt.t, m, v = backup
+        self.params.flat[...] = flat
+        self.opt.m[...] = m
+        self.opt.v[...] = v
+        stats.aborted = True
+        stats.epochs_run = epochs_run
+        return stats

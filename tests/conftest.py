@@ -12,36 +12,18 @@ from mflight.ppo import PpoConfig
 
 # --- finite-difference machinery -------------------------------------------
 
-def flatten_params(params):
-    return np.concatenate([t.ravel() for _, t in params.tensors()])
-
-
-def set_params(params, vec):
-    i = 0
-    for _, t in params.tensors():
-        t.flat[:] = vec[i:i + t.size]
-        i += t.size
-
-
 def fd_gradient(loss_fn, params, h=1e-6):
-    """Central finite differences of loss_fn(params) over every parameter."""
-    x0 = flatten_params(params)
+    """Central finite differences of loss_fn(params) over every entry of params.flat."""
+    x0 = params.flat.copy()
     g = np.empty_like(x0)
     for i in range(len(x0)):
-        x = x0.copy()
-        x[i] += h
-        set_params(params, x)
+        params.flat[i] += h
         fp = loss_fn(params)
-        x[i] -= 2 * h
-        set_params(params, x)
+        params.flat[i] -= 2 * h
         fm = loss_fn(params)
+        params.flat[i] = x0[i]
         g[i] = (fp - fm) / (2 * h)
-    set_params(params, x0)
     return g
-
-
-def grads_as_vector(params, grads):
-    return np.concatenate([grads[name].ravel() for name, _ in params.tensors()])
 
 
 def max_rel_error(a, b, floor=1e-8):
@@ -52,8 +34,7 @@ def random_small_params(rng, action_dim=3, hidden=(8, 7)):
     """A perturbed small network suitable for finite-difference checks."""
     p = agent.init_params(rng, state_dim=1, action_dim=action_dim, hidden=hidden,
                           log_std_init=-0.3)
-    for _, t in p.tensors():
-        t += 0.3 * rng.standard_normal(t.shape)
+    p.flat += 0.3 * rng.standard_normal(p.flat.size)
     np.clip(p.log_std, -2.0, 1.0, out=p.log_std)
     return p
 

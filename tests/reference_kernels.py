@@ -8,9 +8,14 @@ correlations as functions, a panel assembly that rotates the vortex
 influence separately from the source influence, and a variance ratio that
 takes the max over the whole pool of window variances at every episode. The
 tests assert that the optimised kernels give bit-identical results.
+
+The PPO update is kept the same way: parameters as separate arrays, gradients
+in a dict keyed by array name, Adam's moments and step per array, and a
+rollback that swaps the backup parameters in for the live ones.
 """
 
 import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -30,10 +35,12 @@ from mflight.boundary_layer import (
     squire_young_cd,
     thwaites_correlations,
 )
+from mflight.agent import LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, Mlp, gaussian_log_prob
 from mflight.ctl import VARIANCE_FLOOR, window_statistic
 from mflight.errors import ConfigError, SolverError
 from mflight.geometry import AirfoilShape, _segments_cross, _surface_basis, check_n_points
 from mflight.panel import PIVOT_TOL, TWO_PI, PanelSolution, _panel_frames
+from mflight.ppo import UpdateStats, normalize_advantages, prob_ratio
 
 
 def _blend_nose_arc_reference(pts: np.ndarray, radius: float, blend_fraction: float,
@@ -317,3 +324,202 @@ def variance_ratios_reference(rewards, k: int) -> list[float]:
             beta = 0.0 if xi_max <= VARIANCE_FLOOR else xi / xi_max
         betas.append(beta)
     return betas
+
+
+def mlp_backward_reference(mlp: Mlp, cache: list, grad_out: np.ndarray):
+    """Fresh weight and bias gradient arrays of one network, last layer first."""
+    n = len(mlp.weights)
+    gw = [None] * n
+    gb = [None] * n
+    g = grad_out
+    for i in range(n - 1, -1, -1):
+        h_in = cache[i]
+        gw[i] = h_in.T @ g
+        gb[i] = g.sum(axis=0)
+        g = g @ mlp.weights[i].T
+        if i > 0:
+            g = g * (1.0 - cache[i] ** 2)  # cache holds tanh outputs
+    return gw, gb
+
+
+@dataclass
+class ParamsReference:
+    """Policy mean net, log-std and value net, each array allocated on its own."""
+
+    policy: Mlp
+    log_std: np.ndarray
+    value: Mlp
+
+    @classmethod
+    def from_params(cls, params) -> "ParamsReference":
+        """Separate copies of the arrays of a ``PolicyParams`` (or of another reference)."""
+        def mlp(net):
+            return Mlp([w.copy() for w in net.weights], [b.copy() for b in net.biases])
+
+        return cls(mlp(params.policy), params.log_std.copy(), mlp(params.value))
+
+    @property
+    def action_dim(self) -> int:
+        return len(self.log_std)
+
+    def tensors(self) -> list[tuple[str, np.ndarray]]:
+        out = []
+        for i, (w, b) in enumerate(zip(self.policy.weights, self.policy.biases)):
+            out.append((f"policy.w{i}", w))
+            out.append((f"policy.b{i}", b))
+        out.append(("log_std", self.log_std))
+        for i, (w, b) in enumerate(zip(self.value.weights, self.value.biases)):
+            out.append((f"value.w{i}", w))
+            out.append((f"value.b{i}", b))
+        return out
+
+    def copy(self) -> "ParamsReference":
+        return ParamsReference.from_params(self)
+
+    def all_finite(self) -> bool:
+        return all(np.isfinite(t).all() for _, t in self.tensors())
+
+
+def clipped_surrogate_reference(batch, params: ParamsReference, cfg):
+    """Loss, gradients keyed by array name, and diagnostics for one batch."""
+    b = len(batch)
+    d = params.action_dim
+    eps = cfg.clip_epsilon
+    adv = batch.advantages
+
+    pol_cache: list = []
+    mean = params.policy.forward(batch.states, cache=pol_cache)
+    log_std = params.log_std
+    std = np.exp(log_std)
+    logp_new = gaussian_log_prob(batch.actions, mean, log_std)
+
+    ratio = prob_ratio(logp_new, batch.log_probs_old)
+    surr_raw = ratio * adv
+    surr_clip = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+    policy_loss = -np.minimum(surr_raw, surr_clip).mean()
+
+    val_cache: list = []
+    v = params.value.forward(batch.states, cache=val_cache)[:, 0]
+    value_loss = ((v - batch.returns) ** 2).mean()
+
+    entropy = float(log_std.sum() + 0.5 * d * (LOG_2PI + 1.0))
+
+    loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy
+
+    active = surr_raw <= surr_clip
+    dlogp = np.where(active, -ratio * adv / b, 0.0)
+    z = (batch.actions - mean) / std
+    dmean = dlogp[:, None] * z / std
+    gw_p, gb_p = mlp_backward_reference(params.policy, pol_cache, dmean)
+    dlog_std = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
+    dlog_std -= cfg.entropy_coeff * np.ones(d)
+
+    dv = (2.0 * cfg.value_coeff / b) * (v - batch.returns)
+    gw_v, gb_v = mlp_backward_reference(params.value, val_cache, dv[:, None])
+
+    grads: dict[str, np.ndarray] = {}
+    for i in range(len(gw_p)):
+        grads[f"policy.w{i}"] = gw_p[i]
+        grads[f"policy.b{i}"] = gb_p[i]
+    grads["log_std"] = dlog_std
+    for i in range(len(gw_v)):
+        grads[f"value.w{i}"] = gw_v[i]
+        grads[f"value.b{i}"] = gb_v[i]
+
+    stats = UpdateStats(
+        mean_ratio=float(ratio.mean()),
+        clip_fraction=float((np.abs(ratio - 1.0) > eps).mean()),
+        policy_loss=float(policy_loss),
+        value_loss=float(value_loss),
+        entropy=entropy,
+        kl=float((batch.log_probs_old - logp_new).mean()),
+    )
+    return float(loss), grads, stats
+
+
+def clip_grad_norm_reference(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > max_norm > 0.0:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+    return float(total)
+
+
+class AdamReference:
+    """Adam with one moment array per parameter array, stepped array by array."""
+
+    def __init__(self, params: ParamsReference, lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {name: np.zeros_like(t) for name, t in params.tensors()}
+        self.v = {name: np.zeros_like(t) for name, t in params.tensors()}
+
+    def step(self, params: ParamsReference, grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for name, tensor in params.tensors():
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            tensor -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+class PpoTrainerReference:
+    """The per-array update loop; a rollback replaces ``params`` with its backup.
+
+    ``clipped`` counts the epochs whose gradient norm was clipped.
+    """
+
+    def __init__(self, params: ParamsReference, cfg):
+        self.params = params
+        self.cfg = cfg
+        self.opt = AdamReference(params, cfg.learning_rate)
+        self.clipped = 0
+
+    def update(self, batch) -> UpdateStats:
+        cfg = self.cfg
+        batch = replace(batch, advantages=normalize_advantages(batch.advantages))
+        backup = self.params.copy()
+        opt_backup = (self.opt.t, {k: v.copy() for k, v in self.opt.m.items()},
+                      {k: v.copy() for k, v in self.opt.v.items()})
+        stats = None
+        epochs_run = 0
+        for _ in range(cfg.epochs_per_update):
+            loss, grads, stats = clipped_surrogate_reference(batch, self.params, cfg)
+            if not np.isfinite(loss) or not all(np.isfinite(g).all() for g in grads.values()):
+                self._restore(backup, opt_backup)
+                stats.aborted = True
+                stats.epochs_run = epochs_run
+                return stats
+            total = clip_grad_norm_reference(grads, cfg.max_grad_norm)
+            self.clipped += total > cfg.max_grad_norm > 0.0
+            self.opt.step(self.params, grads)
+            np.clip(self.params.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.params.log_std)
+            epochs_run += 1
+            if not self.params.all_finite():
+                self._restore(backup, opt_backup)
+                stats.aborted = True
+                stats.epochs_run = epochs_run
+                return stats
+            mean = self.params.policy.forward(batch.states)
+            logp = gaussian_log_prob(batch.actions, mean, self.params.log_std)
+            kl = float((batch.log_probs_old - logp).mean())
+            stats.kl = kl
+            if kl > cfg.kl_stop:
+                break
+        stats.epochs_run = epochs_run
+        return stats
+
+    def _restore(self, params: ParamsReference, opt_state) -> None:
+        self.params = params
+        self.opt.t, self.opt.m, self.opt.v = opt_state

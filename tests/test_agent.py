@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,20 +7,23 @@ from numpy.testing import assert_allclose
 from mflight import agent
 from mflight.agent import (
     GaussianAction,
-    Mlp,
     act,
     forward_policy,
     gaussian_log_prob,
     init_params,
+    layout,
     load_checkpoint,
     orthogonal,
+    save_arrays,
     save_checkpoint,
     value,
 )
 from mflight.errors import CheckpointError
 from mflight.ppo import normalize_advantages
 
-from conftest import fd_gradient, flatten_params, grads_as_vector, max_rel_error
+from conftest import fd_gradient, max_rel_error
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def zeroed_output(params):
@@ -115,8 +120,7 @@ class TestGradients:
     def test_value_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         p = init_params(rng, action_dim=2, hidden=(8, 6))
-        for _, t in p.tensors():
-            t += 0.2 * rng.standard_normal(t.shape)
+        p.flat += 0.2 * rng.standard_normal(p.flat.size)
         states = rng.standard_normal((5, 1))
         targets = rng.standard_normal(5)
 
@@ -126,20 +130,15 @@ class TestGradients:
 
         cache = []
         v = p.value.forward(states, cache=cache)[:, 0]
-        gw, gb, _ = p.value.backward(cache, (2.0 / 5) * (v - targets)[:, None])
-        grads = {f"value.w{i}": gw[i] for i in range(len(gw))}
-        grads.update({f"value.b{i}": gb[i] for i in range(len(gb))})
-        for name, t in p.tensors():
-            if name not in grads:
-                grads[name] = np.zeros_like(t)
-        rel = max_rel_error(grads_as_vector(p, grads), fd_gradient(loss_fn, p))
+        grad = p.views(np.zeros_like(p.flat))
+        p.value.backward(cache, (2.0 / 5) * (v - targets)[:, None], grad.value)
+        rel = max_rel_error(grad.flat, fd_gradient(loss_fn, p))
         assert rel <= 1e-5
 
     def test_log_prob_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         p = init_params(rng, action_dim=3, hidden=(8,))
-        for _, t in p.tensors():
-            t += 0.2 * rng.standard_normal(t.shape)
+        p.flat += 0.2 * rng.standard_normal(p.flat.size)
         state = np.array([[0.4]])
         a = rng.standard_normal((1, 3))
 
@@ -151,14 +150,10 @@ class TestGradients:
         mean = p.policy.forward(state, cache=cache)
         std = np.exp(p.log_std)
         z = (a - mean) / std
-        gw, gb, _ = p.policy.backward(cache, -z / std)
-        grads = {f"policy.w{i}": gw[i] for i in range(len(gw))}
-        grads.update({f"policy.b{i}": gb[i] for i in range(len(gb))})
-        grads["log_std"] = -(z[0] ** 2 - 1.0)
-        for name, t in p.tensors():
-            if name not in grads:
-                grads[name] = np.zeros_like(t)
-        rel = max_rel_error(grads_as_vector(p, grads), fd_gradient(loss_fn, p))
+        grad = p.views(np.zeros_like(p.flat))
+        p.policy.backward(cache, -z / std, grad.policy)
+        grad.log_std[...] = -(z[0] ** 2 - 1.0)
+        rel = max_rel_error(grad.flat, fd_gradient(loss_fn, p))
         assert rel <= 1e-4
 
 
@@ -175,8 +170,8 @@ class TestMlp:
         assert_allclose(s, np.full(8, 0.01), rtol=1e-10)
 
     def test_sizes_roundtrip(self):
-        mlp = Mlp.create((1, 64, 64, 13), np.random.default_rng(15))
-        assert mlp.sizes == (1, 64, 64, 13)
+        params = init_params(np.random.default_rng(15), action_dim=13, hidden=(64, 64))
+        assert params.policy.sizes == (1, 64, 64, 13)
 
     def test_parameters_finite_after_perturbation(self):
         p = init_params(np.random.default_rng(16))
@@ -185,7 +180,46 @@ class TestMlp:
         assert not p.all_finite()
 
 
+class TestLayout:
+    def test_views_tile_the_flat_vector_in_checkpoint_order(self):
+        p = init_params(np.random.default_rng(22), action_dim=3, hidden=(5, 4))
+        assert [(name, t.shape) for name, t in p.tensors()] == layout((1, 5, 4, 3))
+        assert [name for name, _ in p.tensors()] == [
+            "policy.w0", "policy.b0", "policy.w1", "policy.b1", "policy.w2", "policy.b2",
+            "log_std", "value.w0", "value.b0", "value.w1", "value.b1", "value.w2", "value.b2"]
+        assert np.array_equal(np.concatenate([t.ravel() for _, t in p.tensors()]), p.flat)
+        for _, t in p.tensors():
+            assert np.shares_memory(t, p.flat)
+        p.flat[:] = np.arange(p.flat.size)
+        assert p.policy.weights[0][0, 0] == 0.0
+        assert p.log_std[0] == 5 + 5 + 20 + 4 + 12 + 3
+
+    def test_copy_is_independent(self):
+        p = init_params(np.random.default_rng(23), action_dim=2, hidden=(4,))
+        q = p.copy()
+        assert q.flat.tobytes() == p.flat.tobytes()
+        q.log_std[0] = 1.0
+        assert p.log_std[0] != 1.0
+
+    def test_init_draws_policy_then_value_layers(self):
+        # the draw order fixes every seeded campaign's bytes
+        rng = np.random.default_rng(24)
+        expected = [orthogonal(rng, 1, 6, 1.0), orthogonal(rng, 6, 2, 0.01),
+                    orthogonal(rng, 1, 6, 1.0), orthogonal(rng, 6, 1, 0.01)]
+        p = init_params(np.random.default_rng(24), action_dim=2, hidden=(6,), log_std_init=-0.7)
+        got = [p.policy.weights[0], p.policy.weights[1], p.value.weights[0], p.value.weights[1]]
+        for w, e in zip(got, expected):
+            assert w.tobytes() == e.tobytes()
+        assert not any(b.any() for b in p.policy.biases + p.value.biases)
+        assert (p.log_std == -0.7).all()
+
+
 class TestCheckpoint:
+    def test_committed_checkpoint_resaves_byte_identical(self, tmp_path):
+        params, extras = load_checkpoint(BENCH / "eval.ckpt")
+        save_checkpoint(tmp_path / "resaved.ckpt", params, extras=extras)
+        assert (tmp_path / "resaved.ckpt").read_bytes() == (BENCH / "eval.ckpt").read_bytes()
+
     def test_save_load_save_byte_identical(self, tmp_path):
         p = init_params(np.random.default_rng(17))
         p1 = tmp_path / "a.ckpt"
@@ -220,6 +254,14 @@ class TestCheckpoint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "missing.ckpt")
+
+    def test_value_widths_other_than_the_policy_rejected(self, tmp_path):
+        arrays = dict(init_params(np.random.default_rng(25), action_dim=2, hidden=(5, 4)).tensors())
+        arrays.update({"value.w0": np.ones((1, 3)), "value.b0": np.ones(3),
+                       "value.w1": np.ones((3, 4))})
+        save_arrays(tmp_path / "g.ckpt", arrays)
+        with pytest.raises(CheckpointError, match=r"value.w0 is \(1, 3\), expected \(1, 5\)"):
+            load_checkpoint(tmp_path / "g.ckpt")
 
     def test_truncated_values_rejected(self, tmp_path):
         path = tmp_path / "f.ckpt"

@@ -104,6 +104,17 @@ class TestTrain:
         ["environment.alpha_deg=NaN"],
         ["evaluation.episodes=-3"],
         ["evaluation.episodes=x"],
+        ["evaluation.episodes=2.5"],
+        ["episodes_per_update=20.9"],
+        ["workers=2.5"],
+        ["ctl.window=49.99"],
+        ["agent.hidden=[8.7]"],
+        ["seed=3.9"],
+        ["ppo.epochs_per_update=3.5"],
+        ["ppo.epochs_per_update=0"],
+        ["target.max_episodes=40.5"],
+        ["seed=true"],
+        ["workers=true"],
     ], ids=lambda overrides: " ".join(overrides))
     def test_bad_value_exits_2_before_any_compute(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "c.json")
@@ -234,6 +245,41 @@ class TestEvaluate:
                          "--episodes", "1", "--out", str(tmp_path / "ev")])
         assert code == 4
         assert "dimension" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+
+    @staticmethod
+    def _drop_policy_b0(lines):
+        start = lines.index("array policy.b0 64")
+        return lines[:start] + lines[start + 65:]
+
+    @staticmethod
+    def _short_log_std(lines):
+        start = lines.index("array log_std 13")
+        return lines[:start] + ["array log_std 12"] + lines[start + 1:start + 13] \
+            + lines[start + 14:]
+
+    @staticmethod
+    def _policy_w2_13_by_64(lines):
+        return [("array policy.w2 13 64" if line == "array policy.w2 64 13" else line)
+                for line in lines]
+
+    @pytest.mark.parametrize("edit, message", [
+        ("_drop_policy_b0", "policy.b0 is missing, expected (64,)"),
+        ("_short_log_std", "log_std is (12,), expected (13,)"),
+        ("_policy_w2_13_by_64", "policy.w2 is (13, 64), expected (64, 64)"),
+    ], ids=["no_policy_b0", "log_std_12", "policy_w2_13x64"])
+    def test_layout_it_cannot_run_exits_4(self, tmp_path, capsys, edit, message):
+        lines = (BENCH / "eval.ckpt").read_text().splitlines()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(getattr(self, edit)(lines)) + "\n")
+        code = cli.main(["evaluate", "--checkpoint", str(bad),
+                         "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
+                         "--episodes", "1", "--out", str(tmp_path / "ev")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "ev").exists()
 
 

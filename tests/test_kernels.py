@@ -1,8 +1,9 @@
-"""The optimised physics kernels against their reference implementations.
+"""The optimised kernels against their reference implementations.
 
-Each kernel must give bit-identical results to the straightforward version in
-``reference_kernels``: a changed last bit in any reward sends PPO down another
-trajectory, so the campaign artifacts would no longer reproduce.
+Each physics kernel, and the PPO update on one flat parameter vector, must
+give bit-identical results to the straightforward version in
+``reference_kernels``: a changed last bit in any reward or parameter sends PPO
+down another trajectory, so the campaign artifacts would no longer reproduce.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from mflight import boundary_layer as bl
 from mflight.aeroenv import RE_FLOOR, low_fidelity_cd, make_environment
+from mflight.agent import forward_policy, gaussian_log_prob, init_params
 from mflight.ctl import TransferController
 from mflight.errors import ConfigError, InvalidAction, SolverError
 from mflight.geometry import (
@@ -28,9 +30,12 @@ from mflight.geometry import (
     decode,
 )
 from mflight.panel import PanelWorkspace, solve_panel
+from mflight.ppo import ExperienceBatch, PpoConfig, PpoTrainer
 
 from conftest import experiment_bounds, symmetric_polygon
 from reference_kernels import (
+    ParamsReference,
+    PpoTrainerReference,
     build_airfoil_reference,
     march_surface_reference,
     segments_cross_reference,
@@ -349,3 +354,85 @@ class TestVarianceRatio:
         expected = variance_ratios_reference(rewards, k)
         assert [bits(b) for b in betas] == [bits(b) for b in expected]
         assert [bits(b) for b in ctrl.beta_history] == [bits(b) for b in expected]
+
+
+def oracle_batch(rng, params, size):
+    """Actions near the policy, old log-probs off by noise, raw advantages."""
+    states = rng.standard_normal((size, 1))
+    mean, std = forward_policy(params, states)
+    actions = mean + 1.5 * std * rng.standard_normal((size, params.action_dim))
+    logp_old = gaussian_log_prob(actions, mean, params.log_std) + 0.1 * rng.standard_normal(size)
+    rewards = rng.standard_normal(size)
+    return ExperienceBatch(states=states, actions=actions, log_probs_old=logp_old,
+                           advantages=0.3 * rng.standard_normal(size), returns=rewards)
+
+
+def run_update_oracle(seed, hidden, action_dim, sizes, lr, max_grad_norm, kl_stop, epochs,
+                      nan_at=-1, overflow_at=-1):
+    """The same updates on ``PpoTrainer`` and the per-array reference, bit-equal after each.
+
+    Update ``nan_at`` gets a NaN advantage (a rollback before any step), and
+    update ``overflow_at`` an infinite learning rate (a rollback after the
+    first step). Returns the stats and the number of clipped gradient norms.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = PpoConfig(learning_rate=lr, max_grad_norm=max_grad_norm, kl_stop=kl_stop,
+                    epochs_per_update=epochs)
+    params = init_params(rng, action_dim=action_dim, hidden=hidden)
+    params.flat += 0.3 * rng.standard_normal(params.flat.size)
+    np.clip(params.log_std, -2.0, 1.0, out=params.log_std)
+    trainer = PpoTrainer(params, cfg)
+    ref = PpoTrainerReference(ParamsReference.from_params(params), cfg)
+    names = [name for name, _ in params.tensors()]
+    history = []
+    for k, size in enumerate(sizes):
+        batch = oracle_batch(rng, trainer.params, size)
+        if k == nan_at:
+            batch.advantages[0] = np.nan
+        trainer.opt.lr = ref.opt.lr = np.inf if k == overflow_at else lr
+        with np.errstate(all="ignore"):
+            stats, expected = trainer.update(batch), ref.update(batch)
+        assert repr(stats) == repr(expected)
+        assert trainer.params is params
+        assert params.flat.tobytes() == b"".join(t.tobytes() for _, t in ref.params.tensors())
+        assert trainer.opt.t == ref.opt.t
+        assert trainer.opt.m.tobytes() == b"".join(ref.opt.m[n].tobytes() for n in names)
+        assert trainer.opt.v.tobytes() == b"".join(ref.opt.v[n].tobytes() for n in names)
+        history.append(stats)
+    return history, ref.clipped
+
+
+class TestPpoUpdate:
+    """The flat-vector update gives the per-array update's bits, rollbacks included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           hidden=st.lists(st.integers(1, 24), min_size=1, max_size=3).map(tuple),
+           action_dim=st.integers(1, 13),
+           sizes=st.lists(st.integers(1, 25), min_size=2, max_size=5),
+           lr=st.floats(1e-4, 0.3),
+           max_grad_norm=st.sampled_from([0.0, 0.1, 0.5, 10.0]),
+           kl_stop=st.sampled_from([0.001, 0.05, math.inf]),
+           epochs=st.integers(1, 10),
+           nan_at=st.integers(-1, 4),
+           overflow_at=st.integers(-1, 4))
+    def test_bitwise_equal_to_per_array_update(self, seed, hidden, action_dim, sizes, lr,
+                                               max_grad_norm, kl_stop, epochs, nan_at,
+                                               overflow_at):
+        run_update_oracle(seed, hidden, action_dim, sizes, lr, max_grad_norm, kl_stop, epochs,
+                          nan_at, overflow_at)
+
+    def test_seeded_sweep_sees_clipping_kl_stop_and_both_rollbacks(self):
+        seen = {"clipped": 0, "kl_stop": 0, "nan_rollback": 0, "step_rollback": 0}
+        for seed in range(12):
+            rng = np.random.default_rng([seed, 9])
+            hidden = tuple(int(h) for h in rng.integers(1, 33, size=int(rng.integers(1, 4))))
+            history, clipped = run_update_oracle(
+                seed, hidden, int(rng.integers(1, 14)), [int(n) for n in rng.integers(1, 26, 4)],
+                lr=float(10 ** rng.uniform(-4, -0.5)), max_grad_norm=0.5,
+                kl_stop=[0.001, 0.05][seed % 2], epochs=10, nan_at=1, overflow_at=2)
+            seen["clipped"] += clipped
+            seen["kl_stop"] += sum(not s.aborted and s.epochs_run < 10 for s in history)
+            seen["nan_rollback"] += sum(s.aborted and s.epochs_run == 0 for s in history)
+            seen["step_rollback"] += sum(s.aborted and s.epochs_run > 0 for s in history)
+        assert all(seen.values()), seen

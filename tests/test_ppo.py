@@ -19,8 +19,6 @@ from mflight.ppo import (
 
 from conftest import (
     fd_gradient,
-    flatten_params,
-    grads_as_vector,
     max_rel_error,
     random_batch,
     random_small_params,
@@ -77,11 +75,11 @@ class TestClippedSurrogate:
         params = random_small_params(rng)
         batch = single_record_batch(params, adv=+1.0, ratio=1.5)
         cfg = PpoConfig(clip_epsilon=0.2, value_coeff=0.0, entropy_coeff=0.0)
-        loss, grads, _ = clipped_surrogate(batch, params, cfg)
+        loss, grad, _ = clipped_surrogate(batch, params, cfg)
         assert loss == pytest.approx(-1.2, abs=1e-9)
-        for name in grads:
+        for name, g in params.views(grad).tensors():
             if name.startswith("policy") or name == "log_std":
-                assert_allclose(grads[name], 0.0, atol=1e-15)
+                assert_allclose(g, 0.0, atol=1e-15)
 
     def test_negative_advantage_clipped_branch(self):
         # A=-1, r=0.5, eps=0.2: policy term = -min(-0.5, -0.8) = +0.8
@@ -89,20 +87,21 @@ class TestClippedSurrogate:
         params = random_small_params(rng)
         batch = single_record_batch(params, adv=-1.0, ratio=0.5)
         cfg = PpoConfig(clip_epsilon=0.2, value_coeff=0.0, entropy_coeff=0.0)
-        loss, grads, _ = clipped_surrogate(batch, params, cfg)
+        loss, grad, _ = clipped_surrogate(batch, params, cfg)
         assert loss == pytest.approx(0.8, abs=1e-9)
-        for name in grads:
+        for name, g in params.views(grad).tensors():
             if name.startswith("policy") or name == "log_std":
-                assert_allclose(grads[name], 0.0, atol=1e-15)
+                assert_allclose(g, 0.0, atol=1e-15)
 
     def test_unclipped_branch_carries_gradient(self):
         rng = np.random.default_rng(4)
         params = random_small_params(rng)
         batch = single_record_batch(params, adv=+1.0, ratio=1.1)
         cfg = PpoConfig(clip_epsilon=0.2, value_coeff=0.0, entropy_coeff=0.0)
-        loss, grads, _ = clipped_surrogate(batch, params, cfg)
+        loss, grad, _ = clipped_surrogate(batch, params, cfg)
         assert loss == pytest.approx(-1.1, abs=1e-9)
-        total = sum(float(np.abs(grads[n]).sum()) for n in grads if n.startswith("policy"))
+        total = sum(float(np.abs(g).sum()) for n, g in params.views(grad).tensors()
+                    if n.startswith("policy"))
         assert total > 0.0
 
     def test_full_gradient_matches_finite_differences(self):
@@ -115,9 +114,8 @@ class TestClippedSurrogate:
             def loss_fn(p):
                 return clipped_surrogate(batch, p, cfg)[0]
 
-            _, grads, _ = clipped_surrogate(batch, params, cfg)
-            rel = max_rel_error(grads_as_vector(params, grads),
-                                fd_gradient(loss_fn, params))
+            _, grad, _ = clipped_surrogate(batch, params, cfg)
+            rel = max_rel_error(grad, fd_gradient(loss_fn, params))
             assert rel <= 1e-4
 
     def test_empty_batch_raises(self):
@@ -158,11 +156,11 @@ class TestUpdate:
     def test_zero_learning_rate_keeps_params_bit_identical(self):
         rng = np.random.default_rng(9)
         params = init_params(rng, action_dim=3, hidden=(8, 7))
-        before = flatten_params(params).copy()
+        before = params.flat.copy()
         trainer = PpoTrainer(params, PpoConfig(learning_rate=0.0))
         batch = random_batch(rng, params)
         trainer.update(batch)
-        assert_allclose(flatten_params(trainer.params), before, rtol=0, atol=0)
+        assert_allclose(trainer.params.flat, before, rtol=0, atol=0)
 
     def test_policy_mean_moves_toward_good_actions(self):
         # one-state env: actions above the mean get positive advantage
@@ -204,12 +202,25 @@ class TestUpdate:
         rng = np.random.default_rng(13)
         params = init_params(rng, action_dim=3, hidden=(8,))
         trainer = PpoTrainer(params, PpoConfig())
-        before = flatten_params(trainer.params).copy()
+        before = trainer.params.flat.copy()
         batch = random_batch(rng, trainer.params)
         batch.advantages[0] = np.nan
         stats = trainer.update(batch)
         assert stats.aborted
-        assert_allclose(flatten_params(trainer.params), before, rtol=0, atol=0)
+        assert_allclose(trainer.params.flat, before, rtol=0, atol=0)
+
+    def test_rollback_after_a_step_restores_in_place(self):
+        rng = np.random.default_rng(19)
+        params = init_params(rng, action_dim=3, hidden=(8,))
+        trainer = PpoTrainer(params, PpoConfig())
+        trainer.update(random_batch(rng, params))  # nonzero moments to restore
+        opt = trainer.opt
+        before = (params.flat.tobytes(), opt.t, opt.m.tobytes(), opt.v.tobytes())
+        opt.lr = np.inf  # the first step makes every parameter non-finite
+        stats = trainer.update(random_batch(rng, params))
+        assert stats.aborted and stats.epochs_run == 1
+        assert trainer.params is params
+        assert (params.flat.tobytes(), opt.t, opt.m.tobytes(), opt.v.tobytes()) == before
 
     def test_log_std_stays_in_clamp_range(self):
         rng = np.random.default_rng(14)
@@ -234,22 +245,24 @@ class TestAdam:
     def test_moment_shapes_track_params(self):
         params = init_params(np.random.default_rng(16), action_dim=2, hidden=(4,))
         opt = Adam(params, lr=1e-3)
-        for name, t in params.tensors():
-            assert opt.m[name].shape == t.shape
+        assert opt.m.shape == opt.v.shape == params.flat.shape
+        assert not opt.m.any() and not opt.v.any()
 
     def test_clip_grad_norm(self):
-        grads = {"a": np.array([3.0, 4.0])}
-        total = clip_grad_norm(grads, 1.0)
+        params = init_params(np.random.default_rng(18), action_dim=1, hidden=(1,))
+        grad = np.zeros_like(params.flat)
+        grad[:2] = [3.0, 4.0]
+        total = clip_grad_norm(grad, params, 1.0)
         assert total == pytest.approx(5.0)
-        assert_allclose(grads["a"], np.array([0.6, 0.8]))
+        assert_allclose(grad[:2], np.array([0.6, 0.8]))
+        assert not grad[2:].any()
 
     def test_uniform_gradient_step_size(self):
         # with constant gradients the adaptive step approaches lr per update
         params = init_params(np.random.default_rng(17), action_dim=1, hidden=(4,))
         opt = Adam(params, lr=1e-3)
         before = params.log_std.copy()
-        g = {name: np.ones_like(t) for name, t in params.tensors()}
-        opt.step(params, g)
+        opt.step(params, np.ones_like(params.flat))
         assert params.log_std[0] == pytest.approx(before[0] - 1e-3, rel=1e-6)
 
 
