@@ -87,11 +87,17 @@ class PolicyParams:
     def __init__(self, sizes: tuple[int, ...], flat: np.ndarray | None = None):
         named = layout(sizes)
         ends = list(itertools.accumulate(math.prod(shape) for _, shape in named))
-        self.flat = np.zeros(ends[-1]) if flat is None else flat
-        self._tensors = [(name, self.flat[end - math.prod(shape):end].reshape(shape))
-                         for (name, shape), end in zip(named, ends)]
+        # (name, start, end, shape) of every array, computed once and shared by views()
+        self._spans = [(name, end - math.prod(shape), end, shape)
+                       for (name, shape), end in zip(named, ends)]
+        self._bind(np.zeros(ends[-1]) if flat is None else flat)
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._tensors = [(name, flat[start:end].reshape(shape))
+                         for name, start, end, shape in self._spans]
         t = [view for _, view in self._tensors]  # policy w/b pairs, log_std, value w/b pairs
-        d = len(sizes) - 1
+        d = len(t) // 4                          # layers per network
         self.policy = Mlp(t[:2 * d:2], t[1:2 * d:2])
         self.log_std = t[2 * d]
         self.value = Mlp(t[2 * d + 1::2], t[2 * d + 2::2])
@@ -106,7 +112,10 @@ class PolicyParams:
 
     def views(self, vec: np.ndarray) -> "PolicyParams":
         """The same layout over another vector, such as a gradient; nothing is copied."""
-        return PolicyParams(self.policy.sizes, vec)
+        out = object.__new__(PolicyParams)
+        out._spans = self._spans
+        out._bind(vec)
+        return out
 
     def copy(self) -> "PolicyParams":
         return self.views(self.flat.copy())

@@ -65,10 +65,8 @@ def _eval_settings(doc: dict):
     sigma = ev["sigma"] if ev["sigma"] is not None else base["sigma"]
     fidelity = ev["fidelity"] if ev["fidelity"] is not None else doc["target"]["fidelity"]
     episodes = config_mod.as_int(ev["episodes"], "evaluation.episodes")
-    try:
-        mu, sigma = float(mu), float(sigma)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid evaluation value: {exc}") from exc
+    mu = config_mod.as_float(mu, "evaluation.mu")
+    sigma = config_mod.as_float(sigma, "evaluation.sigma")
     if episodes < 0:
         raise ConfigError(f"evaluation.episodes must be >= 0, got {episodes}")
     return StateDistribution(mu, sigma), fidelity, episodes

@@ -204,11 +204,22 @@ def as_int(value, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def as_float(value, key: str) -> float:
+    """A float config value; a boolean raises ConfigError (float(True) would be 1.0)."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def _phase(name: str, section: dict | None) -> PhaseSpec | None:
     if section is None:
         return None
     return PhaseSpec(name=name, fidelity=section["fidelity"],
-                     dist=StateDistribution(float(section["mu"]), float(section["sigma"])),
+                     dist=StateDistribution(as_float(section["mu"], f"{name}.mu"),
+                                            as_float(section["sigma"], f"{name}.sigma")),
                      max_episodes=as_int(section["max_episodes"], f"{name}.max_episodes"))
 
 
@@ -218,8 +229,9 @@ def build_run_config(doc: dict) -> RunConfig:
         geo = doc["geometry"]
         bounds_doc = geo.get("bounds")
         if bounds_doc and bounds_doc.get("lo") is not None:
-            bounds = GeometryBounds(lo=np.asarray(bounds_doc["lo"], dtype=float),
-                                    hi=np.asarray(bounds_doc["hi"], dtype=float))
+            lo, hi = ([as_float(v, f"geometry.bounds.{end}") for v in bounds_doc[end]]
+                      for end in ("lo", "hi"))
+            bounds = GeometryBounds(lo=np.array(lo), hi=np.array(hi))
         else:
             bounds = GeometryBounds()
 
@@ -228,7 +240,8 @@ def build_run_config(doc: dict) -> RunConfig:
         if ref_doc and (ref_doc.get("mu") is not None or ref_doc.get("sigma") is not None):
             if ref_doc.get("mu") is None or ref_doc.get("sigma") is None:
                 raise ConfigError("state_reference needs both mu and sigma")
-            state_ref = (float(ref_doc["mu"]), float(ref_doc["sigma"]))
+            state_ref = (as_float(ref_doc["mu"], "state_reference.mu"),
+                         as_float(ref_doc["sigma"], "state_reference.sigma"))
 
         force_transfer = doc["ctl"]["force_transfer"]
         if not isinstance(force_transfer, bool):  # bool("False") would be True
@@ -238,24 +251,26 @@ def build_run_config(doc: dict) -> RunConfig:
             mode=doc["mode"],
             source=_phase("source", doc.get("source")),
             target=_phase("target", doc["target"]),
-            ppo=PpoConfig(**{k: (as_int(v, f"ppo.{k}") if k == "epochs_per_update" else float(v))
+            ppo=PpoConfig(**{k: (as_int if k == "epochs_per_update" else as_float)(v, f"ppo.{k}")
                              for k, v in ppo_doc.items()}),
             workers=as_int(doc["workers"], "workers"),
             episodes_per_update=as_int(doc["episodes_per_update"], "episodes_per_update"),
             seed=as_int(doc["seed"], "seed"),
-            penalty=float(doc["penalty"]),
+            penalty=as_float(doc["penalty"], "penalty"),
             hidden=tuple(as_int(h, "agent.hidden") for h in doc["agent"]["hidden"]),
-            log_std_init=float(doc["agent"]["log_std_init"]),
+            log_std_init=as_float(doc["agent"]["log_std_init"], "agent.log_std_init"),
             ctl_window=as_int(doc["ctl"]["window"], "ctl.window"),
-            ctl_gamma_cut=float(doc["ctl"]["gamma_cut"]),
+            ctl_gamma_cut=as_float(doc["ctl"]["gamma_cut"], "ctl.gamma_cut"),
             force_transfer=force_transfer,
             bounds=bounds,
-            alpha=float(np.deg2rad(float(doc["environment"]["alpha_deg"]))),
-            blend_fraction=float(geo["blend_fraction"]),
+            alpha=float(np.deg2rad(as_float(doc["environment"]["alpha_deg"],
+                                            "environment.alpha_deg"))),
+            blend_fraction=as_float(geo["blend_fraction"], "geometry.blend_fraction"),
             n_points_low=as_int(geo["n_points_low"], "geometry.n_points_low"),
             n_points_high=as_int(geo["n_points_high"], "geometry.n_points_high"),
             state_ref=state_ref,
-            threshold_fraction=float(doc["evaluation"]["threshold_fraction"]),
+            threshold_fraction=as_float(doc["evaluation"]["threshold_fraction"],
+                                        "evaluation.threshold_fraction"),
             tail_episodes=as_int(doc["evaluation"]["tail_episodes"], "evaluation.tail_episodes"),
         )
     except (TypeError, ValueError) as exc:

@@ -5,6 +5,11 @@ that share fixed endpoints at the leading edge (0, 0) and trailing edge (1, 0).
 Each curve has three free control points, giving 12 free coordinates; a
 leading-edge radius makes 13. Actions arrive as normalized values in [-1, 1]
 and are mapped affinely onto configurable geometric ranges.
+
+:func:`build_airfoil` takes a stack of designs, a single design being a stack
+of one. The sampling, the nose blend and the validity checks (finiteness,
+monotone surfaces, positive thickness, no crossing of the two surfaces) each
+run once over the whole stack.
 """
 
 from __future__ import annotations
@@ -219,6 +224,10 @@ def _surface_basis(m: int) -> np.ndarray:
     return basis
 
 
+_SIDE_SIGN = np.array([1.0, -1.0])  # upper, lower
+_SIDE_SIGN.flags.writeable = False
+
+
 def _blend_nose_arcs(surfaces: np.ndarray, radius: np.ndarray, blend_fraction: float) -> None:
     """Blend the first part of every surface toward its nose circle, in place.
 
@@ -230,8 +239,10 @@ def _blend_nose_arcs(surfaces: np.ndarray, radius: np.ndarray, blend_fraction: f
     s_b. Every masked station of every surface is computed in one pass, with
     the per-station arithmetic of a one-surface blend.
     """
-    seg = np.linalg.norm(np.diff(surfaces, axis=-2), axis=-1)
-    s = np.concatenate([np.zeros(seg.shape[:-1] + (1,)), np.cumsum(seg, axis=-1)], axis=-1)
+    after_le = surfaces[:, :, 1:]  # every station but the LE one, a view
+    d = after_le - surfaces[:, :, :-1]
+    seg = np.sqrt((d * d).sum(axis=-1))  # np.linalg.norm(d, axis=-1), without its overhead
+    s = np.cumsum(seg, axis=-1)  # arc length from the LE to each later station
     s_b = np.minimum(blend_fraction, 1.5 * radius)
     inside = (s > 0.0) & (s < s_b[:, None])
     if not inside.any():
@@ -241,54 +252,77 @@ def _blend_nose_arcs(surfaces: np.ndarray, radius: np.ndarray, blend_fraction: f
     r = radius[row]
     phi = si / r
     # the side sign multiplies the radius first, as in side * radius * sin(phi)
-    side_r = np.where(side == 0, 1.0, -1.0) * r
-    circle = np.column_stack([r * (1.0 - np.cos(phi)), side_r * np.sin(phi)])
+    side_r = _SIDE_SIGN[side] * r
+    circle = np.array([r * (1.0 - np.cos(phi)), side_r * np.sin(phi)]).T
     u = si / s_b[row]
     w = 1.0 - u * u * (3.0 - 2.0 * u)
-    surfaces[inside] = w[:, None] * circle + (1.0 - w[:, None]) * surfaces[inside]
+    after_le[inside] = w[:, None] * circle + (1.0 - w[:, None]) * after_le[inside]
 
 
-def _cross(o, a, b):
-    """(a - o) x (b - o) for broadcastable stacks of points."""
-    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
-        a[..., 1] - o[..., 1]
-    ) * (b[..., 0] - o[..., 0])
+def _candidate_pairs(x: np.ndarray):
+    """The lower x upper segment pairs that can cross, for every polyline of a stack.
 
-
-def _segments_cross(points: np.ndarray) -> bool:
-    """Proper-intersection test between the lower and the upper surface.
-
-    ``points`` is a :func:`build_airfoil` polyline whose two surfaces are
-    strictly x-monotone: segments 0..h-1 run TE -> LE along the lower surface,
-    segments h..2h-1 run LE -> TE along the upper one. Two non-adjacent
-    segments of one surface then have disjoint x-ranges and cannot cross, and
-    neither can a lower and an upper segment whose x-ranges are disjoint. So
-    the proper-crossing predicate is evaluated only on the lower x upper pairs
-    whose closed x-ranges overlap, leaving out the pairs that share a node:
-    the two segments at the leading edge and the two that close the loop at
-    the trailing edge.
+    ``x`` is the (B, 2h + 1) node x of :func:`build_airfoil` polylines whose
+    two surfaces are strictly x-monotone: segments 0..h-1 run TE -> LE along
+    the lower surface, segments h..2h-1 run LE -> TE along the upper one. Two
+    non-adjacent segments of one surface then have disjoint x-ranges and
+    cannot cross, and neither can a lower and an upper segment whose x-ranges
+    are disjoint. So the candidates are the lower x upper pairs whose closed
+    x-ranges overlap, less the pairs that share a node: the two segments at
+    the leading edge and the two that close the loop at the trailing edge.
+    Returns (row, lower segment, upper segment) index arrays, ordered by row,
+    then lower segment, then upper segment.
     """
-    p = points[:-1]
-    q = points[1:]
-    h = len(p) // 2
-    x = points[:, 0]
+    b, n = x.shape
+    h = (n - 1) // 2
+    # one searchsorted per side over the whole stack: complex keys (row, x) sort row
+    # by row and then by x, ties included; a stack of one needs no row part
+    key = x
+    if b > 1:
+        key = np.empty(x.shape, dtype=complex)
+        key.real = np.arange(b)[:, None]
+        key.imag = x
+    first = np.arange(0, b * h, h)[:, None]
     # lower segment k spans [x[k + 1], x[k]]; upper segment h + j spans [x[h + j], x[h + j + 1]]
-    lo_min, lo_max = x[1:h + 1], x[:h]
-    up_min, up_max = x[h:2 * h], x[h + 1:]
-    start = np.searchsorted(up_max, lo_min, side="left")
-    stop = np.searchsorted(up_min, lo_max, side="right")
-    counts = np.maximum(stop - start, 0)
-    i = np.repeat(np.arange(h), counts)
-    offset = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    j = h + np.repeat(start, counts) + offset
-    keep = ~(((i == h - 1) & (j == h)) | ((i == 0) & (j == 2 * h - 1)))
-    i, j = i[keep], j[keep]
-    pi, qi, pj, qj = p[i], q[i], p[j], q[j]
-    d1 = _cross(pi, qi, pj)
-    d2 = _cross(pi, qi, qj)
-    d3 = _cross(pj, qj, pi)
-    d4 = _cross(pj, qj, qi)
-    return bool(((d1 * d2 < 0.0) & (d3 * d4 < 0.0)).any())
+    start = np.searchsorted(key[:, h + 1:].ravel(), key[:, 1:h + 1], side="left") - first
+    stop = np.searchsorted(key[:, h:2 * h].ravel(), key[:, :h], side="right") - first
+    np.maximum(start[:, h - 1], 1, out=start[:, h - 1])  # not the LE pair (h - 1, h)
+    np.minimum(stop[:, 0], h - 1, out=stop[:, 0])         # not the TE pair (0, 2h - 1)
+    counts = np.maximum(stop - start, 0).ravel()
+    lower = np.repeat(np.arange(b * h), counts)
+    # upper runs start, start + 1, ... within each lower segment's block of pairs
+    upper = np.arange(len(lower)) + np.repeat(h + start.ravel() - (np.cumsum(counts) - counts),
+                                              counts)
+    rows, lower = np.divmod(lower, h)
+    return rows, lower, upper
+
+
+def _surfaces_cross(points: np.ndarray) -> np.ndarray:
+    """Proper-intersection test between the lower and the upper surface of every polyline.
+
+    ``points`` is a (B, 2h + 1, 2) stack of strictly x-monotone
+    :func:`build_airfoil` polylines; returns a (B,) bool array. Two segments
+    cross properly when each one's end points lie strictly on opposite sides
+    of the other: the proper-crossing predicate, evaluated on the
+    :func:`_candidate_pairs` of the whole stack at once.
+    """
+    rows, lower, upper = _candidate_pairs(points[..., 0])
+    seg = np.stack([lower, upper]) + rows * points.shape[1]
+    x, y = points.reshape(-1, 2).T
+    # (2, K): start (p) and end (q) of each pair's lower and upper segment
+    px, py, qx, qy = x[seg], y[seg], x[seg + 1], y[seg + 1]
+    # (a - o) x (b - o) with o, a the start and end of one segment and b an end of the other
+    ax, ay = qx - px, qy - py
+    d_start = ax * (py[::-1] - py) - ay * (px[::-1] - px)
+    d_end = ax * (qy[::-1] - py) - ay * (qx[::-1] - px)
+    crossed = np.zeros(len(points), dtype=bool)
+    crossed[rows[(d_start * d_end < 0.0).all(axis=0)]] = True
+    return crossed
+
+
+# k of the 199 interior thickness stations x_lo + k * (x_hi - x_lo) / 200
+_STATION_STEPS = np.arange(1.0, 200.0)
+_STATION_STEPS.flags.writeable = False
 
 
 def check_n_points(n_points: int, name: str = "n_points") -> None:
@@ -304,10 +338,11 @@ def build_airfoil(polygon: ControlPolygon, n_points: int,
     Returns one shape per polygon; a single polygon is a stack of one. Each
     surface gets n_points/2 cosine-clustered stations; the nose is blended
     toward a circle of the polygon's leading-edge radius. The basis product,
-    the blend and the finiteness and monotonicity checks run once over the
-    whole stack; the thickness and crossing checks run per shape that passed
-    them. Degenerate geometry (crossed surfaces, self-intersection) is
-    reported via ``valid``, never raised.
+    the blend and every validity check run once over the whole stack: the
+    finiteness and monotonicity checks over all shapes, then the thickness
+    and crossing checks over the shapes that passed them. Only the thickness
+    profile is interpolated shape by shape. Degenerate geometry (crossed
+    surfaces, self-intersection) is reported via ``valid``, never raised.
     """
     check_n_points(n_points)
     surfaces = _surface_basis(n_points // 2) @ polygon.curves()
@@ -318,26 +353,26 @@ def build_airfoil(polygon: ControlPolygon, n_points: int,
     # TE -> lower -> LE -> upper -> TE; endpoints are exact so the loop closes
     points = np.concatenate([lower[:, ::-1], upper[:, 1:]], axis=1)
     points.flags.writeable = False
-    finite_monotone = np.isfinite(points).all(axis=(1, 2)) \
-        & (np.diff(surfaces[..., 0], axis=-1) > 0).all(axis=(0, 2))
-
-    shapes = []
-    for b, row in enumerate(points):
-        valid = False
-        thickness_min = 0.0
-        thickness_max = 0.0
-        if finite_monotone[b]:
-            xu, xl = upper[b, :, 0], lower[b, :, 0]
-            x_lo = max(xu[0], xl[0])
-            x_hi = min(xu[-1], xl[-1])
-            stations = np.linspace(x_lo, x_hi, 201)[1:-1]
-            gap = np.interp(stations, xu, upper[b, :, 1]) - np.interp(stations, xl, lower[b, :, 1])
-            thickness_min = float(gap.min())
-            thickness_max = float(gap.max())
-            valid = thickness_min > 0.0 and not _segments_cross(row)
-        shapes.append(AirfoilShape(points=row, valid=valid,
-                                   thickness_min=thickness_min, thickness_max=thickness_max))
-    return shapes
+    checked = np.isfinite(points).all(axis=(1, 2)) \
+        & (surfaces[..., 1:, 0] > surfaces[..., :-1, 0]).all(axis=(0, 2))
+    # the thickness and crossing checks of every shape that passed, at once
+    rows = slice(None) if checked.all() else checked
+    up, lo = upper[rows], lower[rows]
+    # np.linspace(x_lo, x_hi, 201)[1:-1] per shape, as linspace computes it: x_lo + k * step
+    # (its branch for a zero step never applies, as both surfaces run from the LE to the TE)
+    x_lo = np.maximum(up[:, 0, 0], lo[:, 0, 0])
+    step = (np.minimum(up[:, -1, 0], lo[:, -1, 0]) - x_lo) / 200
+    stations = _STATION_STEPS * step[:, None] + x_lo[:, None]
+    gap = np.empty_like(stations)
+    for g, at, su, sl in zip(gap, stations, up, lo):
+        np.subtract(np.interp(at, su[:, 0], su[:, 1]), np.interp(at, sl[:, 0], sl[:, 1]), out=g)
+    thickness = np.zeros((2, len(points)))  # min, max
+    thickness[0, rows] = thickness_min = gap.min(axis=1)
+    thickness[1, rows] = gap.max(axis=1)
+    valid = np.zeros(len(points), dtype=bool)
+    valid[rows] = (thickness_min > 0.0) & ~_surfaces_cross(points[rows])
+    return [AirfoilShape(points=row, valid=v, thickness_min=t_min, thickness_max=t_max)
+            for row, v, (t_min, t_max) in zip(points, valid.tolist(), thickness.T.tolist())]
 
 
 def selig_points(shape: AirfoilShape) -> np.ndarray:

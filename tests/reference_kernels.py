@@ -2,7 +2,7 @@
 
 These are the straightforward versions that the optimised kernels in
 ``mflight`` replaced: an airfoil build of one control polygon at a time, an
-O(n^2) all-pairs segment crossing test, a
+O(n^2) all-pairs segment crossing test and the pairs whose x-ranges overlap, a
 boundary-layer march on numpy scalars that calls Head's rates and the
 correlations as functions, a panel assembly that rotates the vortex
 influence separately from the source influence, and a variance ratio that
@@ -38,7 +38,7 @@ from mflight.boundary_layer import (
 from mflight.agent import LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, Mlp, gaussian_log_prob
 from mflight.ctl import VARIANCE_FLOOR, window_statistic
 from mflight.errors import ConfigError, SolverError
-from mflight.geometry import AirfoilShape, _segments_cross, _surface_basis, check_n_points
+from mflight.geometry import AirfoilShape, _surface_basis, check_n_points
 from mflight.panel import PIVOT_TOL, TWO_PI, PanelSolution, _panel_frames
 from mflight.ppo import UpdateStats, normalize_advantages, prob_ratio
 
@@ -99,7 +99,7 @@ def build_airfoil_reference(polygon, n_points: int, blend_fraction: float = 0.02
     else:
         valid = False
 
-    if valid and _segments_cross(points):
+    if valid and segments_cross_reference(points):
         valid = False
 
     return AirfoilShape(points=points, valid=valid,
@@ -133,6 +133,24 @@ def segments_cross_reference(points: np.ndarray) -> bool:
     # first and last segments share the closing node of the polyline
     adjacent[0, n - 1] = adjacent[n - 1, 0] = True
     return bool((proper & ~adjacent).any())
+
+
+def candidate_pairs_reference(points: np.ndarray):
+    """Every (lower, upper) segment pair of a polyline whose closed x-ranges overlap.
+
+    Segments 0..h-1 are the lower surface and h..2h-1 the upper one. Left out
+    are the two pairs that share a node: (h - 1, h) at the leading edge and
+    (0, 2h - 1) at the trailing edge. Returns the lower and the upper
+    segment indices, ordered by lower and then upper segment.
+    """
+    h = (len(points) - 1) // 2
+    x = points[:, 0]
+    lo = np.minimum(x[:-1], x[1:])
+    hi = np.maximum(x[:-1], x[1:])
+    overlap = (lo[:h, None] <= hi[None, h:]) & (lo[None, h:] <= hi[:h, None])
+    overlap[h - 1, 0] = overlap[0, h - 1] = False
+    lower, upper = np.nonzero(overlap)
+    return lower, upper + h
 
 
 def march_surface_reference(s: np.ndarray, ue: np.ndarray, x: np.ndarray, nu: float) -> SurfaceMarch:

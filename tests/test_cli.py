@@ -115,6 +115,14 @@ class TestTrain:
         ["target.max_episodes=40.5"],
         ["seed=true"],
         ["workers=true"],
+        ["ppo.learning_rate=true"],
+        ["ppo.kl_stop=false"],
+        ["ppo.max_grad_norm=true"],
+        ["agent.log_std_init=true"],
+        ["environment.alpha_deg=true"],
+        ["geometry.blend_fraction=true"],
+        ["target.sigma=true"],
+        ["evaluation.mu=true"],
     ], ids=lambda overrides: " ".join(overrides))
     def test_bad_value_exits_2_before_any_compute(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "c.json")

@@ -5,6 +5,7 @@ import pytest
 
 from mflight import config as config_mod
 from mflight.errors import ConfigError
+from mflight.geometry import GeometryBounds
 
 
 def minimal_doc(**target_overrides):
@@ -73,6 +74,18 @@ class TestValidation:
         doc["geometry"] = {"bounds": {"lo": lo, "hi": hi}}
         cfg = config_mod.build_run_config(config_mod.validate_document(doc))
         assert cfg.bounds.lo[12] == 0.002
+
+    @pytest.mark.parametrize("edit", [
+        {"geometry": {"bounds": {"lo": GeometryBounds().lo.tolist(),
+                                 "hi": [True] + GeometryBounds().hi.tolist()[1:]}}},
+        {"state_reference": {"mu": True, "sigma": 5e5}},
+        {"penalty": -10 ** 400},
+    ], ids=["bounds entry true", "state_reference.mu true", "penalty beyond float range"])
+    def test_float_keys_reject_booleans_and_overflow(self, edit):
+        doc = minimal_doc()
+        doc.update(edit)
+        with pytest.raises(ConfigError, match="must be a number"):
+            config_mod.build_run_config(config_mod.validate_document(doc))
 
     def test_state_reference_needs_both_fields(self):
         doc = minimal_doc()

@@ -22,9 +22,10 @@ from mflight.ctl import TransferController
 from mflight.errors import ConfigError, InvalidAction, SolverError
 from mflight.geometry import (
     GeometryBounds,
+    _candidate_pairs,
     _cosine_params,
-    _segments_cross,
     _surface_basis,
+    _surfaces_cross,
     bezier_eval,
     build_airfoil,
     decode,
@@ -37,6 +38,7 @@ from reference_kernels import (
     ParamsReference,
     PpoTrainerReference,
     build_airfoil_reference,
+    candidate_pairs_reference,
     march_surface_reference,
     segments_cross_reference,
     solve_panel_reference,
@@ -70,6 +72,31 @@ def wide_bounds() -> GeometryBounds:
 BOXES = {"default": GeometryBounds, "narrow": experiment_bounds, "wide": wide_bounds}
 design_stacks = hnp.arrays(np.float64, st.tuples(st.integers(1, 25), st.just(13)),
                            elements=st.floats(-1.0, 1.0))
+
+
+def mirrored(designs):
+    """Mirror images: each design's upper control points, reflected in the chord, as its lower ones.
+
+    In a box that gives both surfaces the same x ranges, lower node k then
+    sits at the x of upper node k (near the nose, up to the blend's rounding),
+    so neighbouring lower and upper segments have x-ranges that touch.
+    """
+    out = designs.copy()
+    out[..., [6, 8, 10]] = designs[..., [0, 2, 4]]
+    out[..., [7, 9, 11]] = -designs[..., [1, 3, 5]]
+    return out
+
+
+def assert_checks_match_references(points):
+    """The stacked candidate pairs and crossing verdicts of monotone polylines, row by row."""
+    rows, lower, upper = _candidate_pairs(points[..., 0])
+    verdicts = _surfaces_cross(points)
+    for row, polyline in enumerate(points):
+        ref_lower, ref_upper = candidate_pairs_reference(polyline)
+        assert lower[rows == row].tolist() == ref_lower.tolist()
+        assert upper[rows == row].tolist() == ref_upper.tolist()
+        assert verdicts[row] == segments_cross_reference(polyline)
+    return verdicts
 
 
 def assert_stack_matches_reference(designs, bounds, n_points):
@@ -150,7 +177,7 @@ class TestSegmentsCross:
     def test_same_verdict_as_all_pairs(self, design, n_points):
         points = monotone_points(design, widened_bounds(), n_points)
         assume(points is not None)
-        assert _segments_cross(points) == segments_cross_reference(points)
+        assert _surfaces_cross(points[None])[0] == segments_cross_reference(points)
 
     def test_seeded_sweep_sees_both_verdicts(self):
         rng = np.random.default_rng(11)
@@ -159,7 +186,7 @@ class TestSegmentsCross:
             points = monotone_points(design, widened_bounds(), 202)
             if points is None:
                 continue
-            verdict = _segments_cross(points)
+            verdict = _surfaces_cross(points[None])[0]
             assert verdict == segments_cross_reference(points)
             verdicts.append(verdict)
         assert len(verdicts) > 250
@@ -174,6 +201,29 @@ class TestStackedBuild:
            n_points=st.sampled_from([62, 202]))
     def test_each_row_equals_the_reference(self, designs, box, n_points):
         assert_stack_matches_reference(designs, BOXES[box](), n_points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(designs=design_stacks, mirror=hnp.arrays(np.bool_, 25),
+           box=st.sampled_from(sorted(BOXES) + ["widened"]), n_points=st.sampled_from([62, 202]))
+    def test_mixed_stacks_with_mirror_designs(self, designs, mirror, box, n_points):
+        mirror = mirror[:len(designs)]
+        designs[mirror] = mirrored(designs[mirror])
+        bounds = widened_bounds() if box == "widened" else BOXES[box]()
+        refs = assert_stack_matches_reference(designs, bounds, n_points)
+        monotone = [ref.points for ref in refs if outcome(ref, n_points) != "non-monotone"]
+        assume(monotone)
+        assert_checks_match_references(np.stack(monotone))
+
+    def test_mirror_designs_tie_every_node_and_see_both_verdicts(self):
+        rng = np.random.default_rng(12)
+        verdicts = []
+        for n_points, bounds in itertools.product([62, 202], [GeometryBounds(), widened_bounds()]):
+            designs = mirrored(rng.uniform(-1.0, 1.0, (100, 13)))
+            points = np.stack([s.points for s in build_airfoil(decode(designs, bounds), n_points)])
+            h = n_points // 2 - 1
+            assert (points[:, h - 1::-1, 0] == points[:, h + 1:, 0]).all()
+            verdicts += assert_checks_match_references(points).tolist()
+        assert any(verdicts) and not all(verdicts)
 
     def test_wide_box_sweep_sees_every_outcome(self):
         rng = np.random.default_rng(4)
