@@ -39,13 +39,13 @@ for re_c in (5e6, 7e6, 1e7):
     print(f"{re_c:9.1e} {low_fidelity_cd(lo_shape, re_c).cd:10.5f} "
           f"{high_fidelity_cd(hi_shape, re_c).cd:11.5f}")
 
-# %% The cost ratio that makes multi-fidelity learning worthwhile.
+# %% The cost ratio that makes multi-fidelity learning worthwhile: one round of
+# 20 episodes per tier, priced as training prices it.
 env_lo = make_environment("low")
 env_hi = make_environment("high")
-d = DesignVector(np.zeros(13))
+designs = DesignVector(np.zeros((20, 13)))
 for env in (env_lo, env_hi):
     t0 = time.perf_counter()
-    for _ in range(20):
-        env.step(d, 7e6)
+    env.step_round(designs, [7e6] * 20)
     dt = (time.perf_counter() - t0) / 20
     print(f"{env.fidelity}-fidelity episode: {dt * 1e3:6.2f} ms")

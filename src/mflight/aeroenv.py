@@ -3,24 +3,25 @@
 Both fidelities satisfy the same interface and are deterministic pure
 functions of (shape, re_c). The low-fidelity model prices drag with a
 form-factor-corrected turbulent flat-plate skin friction: its reward reads the
-shape's maximum thickness and the Reynolds number only, so ``step`` runs no
-panel solve there, and the panel solution is computed only where Cp and Cl
-are reported (``Environment.evaluate``). The high-fidelity model marches an
-integral boundary layer over the panel edge velocities and closes with
-Squire-Young. One ``step`` call is one complete episode (the flow solve IS
-the episode).
+shape's maximum thickness and the Reynolds number only, so pricing an
+episode runs no panel solve there, and the panel solution is computed only
+where Cp and Cl are reported (``Environment.evaluate``). The high-fidelity
+model marches an integral boundary layer over the panel edge velocities and
+closes with Squire-Young. Every episode is priced through
+``Environment.step_round``: each row of its design stack is one complete
+episode (the flow solve IS the episode).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import boundary_layer as bl
 from .errors import ConfigError, SolverError
+from .files import atomic_write
 from .geometry import AirfoilShape, GeometryBounds, build_airfoil, decode
 from .panel import PanelWorkspace, solve_panel
 
@@ -113,10 +114,11 @@ def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0,
 class Environment:
     """One fidelity tier of the design environment.
 
-    Besides its fields it holds ``eval_count``, the number of ``step`` and
-    ``evaluate`` calls, and ``work``, the workspace of its ``n_points - 2``
-    panels that every panel solve of this environment reuses. The workspace
-    makes an environment serve one caller at a time.
+    Besides its fields it holds ``eval_count``, the number of episodes priced
+    (rows of ``step_round``) and ``evaluate`` calls, and ``work``, the
+    workspace of its ``n_points - 2`` panels that every panel solve of this
+    environment reuses. The workspace makes an environment serve one caller
+    at a time.
     """
 
     fidelity: str
@@ -150,28 +152,30 @@ class Environment:
         polygon = decode(designs, self.bounds)
         return build_airfoil(polygon, self.n_points, blend_fraction=self.blend_fraction)
 
-    def build_shape(self, design) -> AirfoilShape:
-        (shape,) = self.build_shapes(design)
-        return shape
-
-    def step(self, design, re_c: float, penalty: float = DEFAULT_PENALTY):
-        """One full episode: decode, build, evaluate; failures map to the penalty.
-
-        Returns (reward, info). Never raises into the training loop. Every call
-        counts as one environment evaluation, penalized episodes included.
-        At low fidelity no panel solve runs, so ``info["cl"]`` is None there.
-        """
-        return self._price(self.build_shape(design), re_c, penalty)
-
     def step_round(self, designs, re_cs, penalty: float = DEFAULT_PENALTY) -> list:
-        """``step`` for every row of a (B, 13) design stack at its Reynolds number.
+        """Price every row of a (B, 13) design stack at its Reynolds number.
 
-        The B shapes are built in one call, then each is priced as ``step``
-        prices it; returns the B (reward, info) pairs in row order.
+        Each row is one full episode: decode, build, evaluate; failures map to
+        the penalty. The B shapes are built in one call; returns the B
+        (reward, info) pairs in row order. Never raises into the training
+        loop. Every row counts as one environment evaluation, penalized
+        episodes included. At low fidelity no panel solve runs, so
+        ``info["cl"]`` is None there.
         """
         shapes = self.build_shapes(designs)
         return [self._price(shape, re_c, penalty)
                 for shape, re_c in zip(shapes, re_cs, strict=True)]
+
+    def step(self, design, re_c: float, penalty: float = DEFAULT_PENALTY):
+        """``step_round`` on a stack of one design; returns its (reward, info).
+
+        mflight itself prices every episode through ``step_round``. This entry
+        point stays only because the benchmark's tracer wraps it by name
+        (``bench/spans.py``, checked by ``tests/test_bench_layers.py``), and
+        the benchmark's files are kept fixed between its revisions.
+        """
+        (outcome,) = self.step_round(design, [re_c], penalty)
+        return outcome
 
     def _price(self, shape: AirfoilShape, re_c: float, penalty: float):
         """Reward and info of one built shape; counts one environment evaluation."""
@@ -204,10 +208,5 @@ def make_environment(fidelity: str, bounds: GeometryBounds | None = None,
 
 def write_cp_csv(result: AeroResult, path) -> None:
     """Dump the surface pressure distribution as a two-column CSV (atomic)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("# mflight-cp v1\n")
-        fh.write("x,cp\n")
-        for x, cp in zip(result.cp_x, result.cp):
-            fh.write(f"{float(x)!r},{float(cp)!r}\n")
-    os.replace(tmp, path)
+    rows = "".join(f"{float(x)!r},{float(cp)!r}\n" for x, cp in zip(result.cp_x, result.cp))
+    atomic_write(path, "# mflight-cp v1\nx,cp\n" + rows)

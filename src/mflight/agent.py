@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CheckpointError
+from .files import atomic_write
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -201,10 +201,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         dims = " ".join(str(d) for d in arr.shape) if arr.ndim else "0"
         lines.append(f"array {name} {dims}")
         lines.extend(repr(float(v)) for v in arr.ravel())
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:

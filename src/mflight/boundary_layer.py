@@ -45,34 +45,12 @@ def thwaites_correlations(lam: float) -> tuple[float, float]:
     return l, h
 
 
-def michel_retheta_crit(re_x: float) -> float:
-    """Transition threshold on Re_theta as a function of Re_x (Michel's line)."""
-    re_x = max(re_x, 1.0)
-    return 1.174 * (1.0 + 22400.0 / re_x) * re_x**0.46
-
-
 def head_h1(h: float) -> float:
     """Head's H1(H) correlation."""
     h = max(h, 1.101)
     if h <= 1.6:
         return 3.3 + 0.8234 * (h - 1.1) ** -1.287
     return 3.3 + 1.5501 * (h - 0.6778) ** -3.064
-
-
-def head_h(h1: float) -> float:
-    """Inverse correlation H(H1)."""
-    h1 = max(h1, 3.32)
-    if h1 >= 5.3:
-        return 1.1 + 0.86 * (h1 - 3.3) ** -0.777
-    return 0.6778 + 1.1536 * (h1 - 3.3) ** -0.326
-
-
-def entrainment(h1: float) -> float:
-    return 0.0306 * max(h1 - 3.0, 1e-3) ** -0.6169
-
-
-def ludwieg_tillmann_cf(h: float, re_theta: float) -> float:
-    return 0.246 * 10.0 ** (-0.678 * h) * max(re_theta, 1.0) ** -0.268
 
 
 def squire_young_cd(theta: float, ue: float, h: float) -> float:
@@ -88,10 +66,13 @@ def march_surface(s: np.ndarray, ue: np.ndarray, x: np.ndarray, nu: float) -> Su
     position used for the separation cutoff, ``nu`` the kinematic viscosity
     (1/Re_c in chord units).
 
-    The station loops run on Python floats, with Head's rates and the
-    correlations above written out in the loop body in the same operation
-    order, so every result is bit-identical to composing those functions.
-    ``b if b > a else a`` is ``max(a, b)`` exactly, NaN included.
+    The station loops run on Python floats, with Head's rates and his
+    correlations (H1(H), its inverse H(H1), the entrainment function),
+    Ludwieg-Tillmann's skin friction and Michel's line written out in the
+    loop body. Each keeps the operation order of its function form in
+    ``tests/reference_kernels.py``, so every result is bit-identical to
+    composing those functions. ``b if b > a else a`` is ``max(a, b)``
+    exactly, NaN included.
     """
     s = np.asarray(s, dtype=float)
     ue = np.maximum(np.asarray(ue, dtype=float), UE_FLOOR)
@@ -123,7 +104,7 @@ def march_surface(s: np.ndarray, ue: np.ndarray, x: np.ndarray, nu: float) -> Su
         re_theta = ue_i * theta / nu
         re_x = ue_i * s[i] / nu
         re_x = 1.0 if 1.0 > re_x else re_x
-        # Michel's line, as michel_retheta_crit
+        # Michel's line: Re_theta,crit = 1.174 (1 + 22400 / Re_x) Re_x^0.46
         if (re_theta > 1.174 * (1.0 + 22400.0 / re_x) * re_x**0.46
                 or theta * theta * due_ds[i] / nu < LAMBDA_SEP):
             i_tr = i
@@ -174,7 +155,7 @@ def march_surface(s: np.ndarray, ue: np.ndarray, x: np.ndarray, nu: float) -> Su
             k1h = (0.0306 * (1e-3 if 1e-3 > e else e) ** -0.6169 * ue_v
                    - h1_v * (k1t * ue_v + th * due_v)) / (ue_v * th)
 
-            # k2: Head's rates at the midpoint, H from head_h of the H1 half step
+            # k2: Head's rates at the midpoint, H from H(H1) of the H1 half step
             th = theta + half_ds * k1t
             th = 1e-12 if 1e-12 > th else th
             h1_m = h1 + half_ds * k1h

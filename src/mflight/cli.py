@@ -18,6 +18,7 @@ from . import orchestrator as orch
 from .aeroenv import StateDistribution, write_cp_csv
 from .agent import load_checkpoint
 from .errors import CheckpointError, ConfigError, MflightError, SchemaError
+from .files import atomic_write
 from .geometry import write_selig
 
 log = logging.getLogger("mflight")
@@ -87,14 +88,14 @@ def cmd_train(args) -> int:
     orch.write_episodes_csv(report.rows, os.path.join(args.out, "episodes.csv"))
     orch.write_summary(report, os.path.join(args.out, "summary.txt"))
 
-    # mean-predictive airfoils at the phase distribution means
+    # mean-predictive airfoils at the phase distribution means: built, not priced
     for phase, params in (("source", report.source_params), ("target", report.params)):
         if params is None:
             continue
         spec = cfg.source if phase == "source" else cfg.target
-        result = orch.evaluate_policy(params, spec.dist, cfg.environment(spec.fidelity), 0,
-                                      cfg.seed, report.state_ref, cfg.penalty)
-        write_selig(result.mean_shape, os.path.join(args.out, f"airfoil_{phase}_mean.dat"))
+        design = orch.greedy_designs(params, [spec.dist.mu], report.state_ref)
+        (shape,) = cfg.environment(spec.fidelity).build_shapes(design)
+        write_selig(shape, os.path.join(args.out, f"airfoil_{phase}_mean.dat"))
     log.info("campaign complete: %d episodes logged to %s", len(report.rows), args.out)
     return EXIT_OK
 
@@ -109,7 +110,8 @@ def cmd_evaluate(args) -> int:
         episodes = args.episodes
     params, _ = load_checkpoint(args.checkpoint)
     result = orch.evaluate_policy(params, dist, cfg.environment(fidelity), episodes, cfg.seed,
-                                  cfg.resolve_state_ref(), cfg.penalty)
+                                  cfg.resolve_state_ref(), cfg.penalty,
+                                  episodes_per_update=cfg.episodes_per_update)
 
     os.makedirs(args.out, exist_ok=True)
     lines = [HISTOGRAM_SCHEMA, "bin_left,bin_right,count"]
@@ -117,7 +119,7 @@ def cmd_evaluate(args) -> int:
         counts, edges = np.histogram(result.rewards, bins=HISTOGRAM_BINS)
         lines += [f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(counts[i])}"
                   for i in range(len(counts))]
-    orch.atomic_write(os.path.join(args.out, "histogram.csv"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(args.out, "histogram.csv"), "\n".join(lines) + "\n")
 
     summary = ["mflight-eval v1", f"fidelity: {fidelity}",
                f"mu: {dist.mu!r}", f"sigma: {dist.sigma!r}"]
@@ -127,7 +129,7 @@ def cmd_evaluate(args) -> int:
         summary += [f"mean_shape_cd: {result.mean_aero.cd!r}",
                     f"mean_shape_cl: {result.mean_aero.cl!r}",
                     f"mean_shape_converged: {result.mean_aero.converged}"]
-    orch.atomic_write(os.path.join(args.out, "eval_summary.txt"), "\n".join(summary) + "\n")
+    atomic_write(os.path.join(args.out, "eval_summary.txt"), "\n".join(summary) + "\n")
 
     write_selig(result.mean_shape, os.path.join(args.out, "airfoil_mean.dat"))
     if result.mean_aero is not None:
@@ -172,7 +174,7 @@ def cmd_compare(args) -> int:
             f"{float(tail.mean())!r},{float(tail.var())!r},{hifi_calls},{savings}"
         )
     text = "\n".join(lines) + "\n"
-    orch.atomic_write(args.out, text)
+    atomic_write(args.out, text)
     sys.stdout.write(text)
     return EXIT_OK
 

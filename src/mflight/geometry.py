@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, InvalidAction
+from .files import atomic_write
 
 N_DESIGN_VARS = 13
 
@@ -385,11 +385,7 @@ def write_selig(shape: AirfoilShape, path) -> None:
 
     Written atomically (complete or absent).
     """
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        for x, y in selig_points(shape):
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-    os.replace(tmp, path)
+    atomic_write(path, "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in selig_points(shape)))
 
 
 def read_selig(path) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ctl as ctl_mod
-from .aeroenv import Environment, StateDistribution, make_environment, sample_state
+from .aeroenv import AeroResult, Environment, StateDistribution, make_environment, sample_state
 from .agent import (
     PolicyParams,
     act,
@@ -28,6 +28,7 @@ from .agent import (
     value,
 )
 from .errors import ConfigError, RunError, SchemaError, SolverError
+from .files import atomic_write
 from .geometry import AirfoilShape, DesignVector, GeometryBounds, check_n_points
 from .ppo import EpisodeRecord, ExperienceBatch, PpoConfig, PpoTrainer
 
@@ -247,13 +248,10 @@ def run_phase(phase: PhaseSpec, env: Environment, trainer: PpoTrainer,
 
 def trailing_mean(rewards: np.ndarray, k: int) -> np.ndarray:
     """Mean over the trailing min(e, k) rewards, for every episode e."""
-    rewards = np.asarray(rewards, dtype=float)
-    out = np.empty(len(rewards))
-    csum = np.concatenate([[0.0], np.cumsum(rewards)])
-    for e in range(1, len(rewards) + 1):
-        lo = max(0, e - k)
-        out[e - 1] = (csum[e] - csum[lo]) / (e - lo)
-    return out
+    csum = np.concatenate([[0.0], np.cumsum(np.asarray(rewards, dtype=float))])
+    e = np.arange(1, len(csum))
+    lo = np.maximum(e - k, 0)
+    return (csum[e] - csum[lo]) / (e - lo)
 
 
 def threshold_value(final_mean: float, fraction: float) -> float:
@@ -377,26 +375,37 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
 class EvalResult:
     rewards: np.ndarray
     summary: dict
-    mean_action: np.ndarray
-    mean_shape: AirfoilShape | None
-    mean_aero: object | None
+    mean_shape: AirfoilShape
+    mean_aero: AeroResult | None
+
+
+def greedy_designs(params: PolicyParams, re_cs, ref: tuple[float, float]) -> DesignVector:
+    """The clipped policy means at the given Reynolds numbers, as one (B, 13) stack.
+
+    The forward passes run one state per call: a batched pass rounds
+    differently in the last bits.
+    """
+    return DesignVector(np.array([
+        np.clip(forward_policy(params, normalize_state(re_c, ref))[0], -1.0, 1.0)
+        for re_c in re_cs]))
 
 
 def evaluate_policy(params: PolicyParams, dist: StateDistribution, env: Environment,
                     n_episodes: int, seed: int, ref: tuple[float, float],
-                    penalty: float = -0.1) -> EvalResult:
+                    penalty: float = -0.1, *, episodes_per_update: int) -> EvalResult:
     """Greedy rollout of the policy mean over sampled states.
 
-    Also produces the mean predictive shape: the deterministic design at the
-    distribution's mean state.
+    Episode i draws its state from its own RNG stream; the greedy designs are
+    priced in rounds of T_L = ``episodes_per_update`` rows, the last round
+    ragged. Also produces the mean predictive shape: the greedy design at the
+    distribution's mean state, with its drag, lift and pressure.
     """
     rewards = np.empty(n_episodes)
-    for i in range(n_episodes):
-        rng = episode_rng(seed, "eval", i)
-        re_c = sample_state(dist, rng)
-        mean, _ = forward_policy(params, normalize_state(re_c, ref))
-        reward, _ = env.step(DesignVector(np.clip(mean, -1.0, 1.0)), re_c, penalty)
-        rewards[i] = reward
+    for start in range(0, n_episodes, episodes_per_update):
+        stop = min(start + episodes_per_update, n_episodes)
+        re_cs = [sample_state(dist, episode_rng(seed, "eval", i)) for i in range(start, stop)]
+        outcomes = env.step_round(greedy_designs(params, re_cs, ref), re_cs, penalty)
+        rewards[start:stop] = [reward for reward, _ in outcomes]
 
     summary = {}
     if n_episodes:
@@ -404,29 +413,20 @@ def evaluate_policy(params: PolicyParams, dist: StateDistribution, env: Environm
                    "std": float(rewards.std()), "min": float(rewards.min()),
                    "max": float(rewards.max())}
 
-    mean_action, _ = forward_policy(params, normalize_state(dist.mu, ref))
-    mean_action = np.clip(mean_action, -1.0, 1.0)
-    mean_shape = env.build_shape(DesignVector(mean_action))
+    (mean_shape,) = env.build_shapes(greedy_designs(params, [dist.mu], ref))
     mean_aero = None
     if mean_shape.valid:
         try:
             mean_aero = env.evaluate(mean_shape, dist.mu)
         except SolverError:
             mean_aero = None
-    return EvalResult(rewards=rewards, summary=summary, mean_action=mean_action,
-                      mean_shape=mean_shape, mean_aero=mean_aero)
+    return EvalResult(rewards=rewards, summary=summary, mean_shape=mean_shape,
+                      mean_aero=mean_aero)
 
 
 # ---------------------------------------------------------------------------
 # artifact persistence (CSV + structured-text summary), atomic writes
 # ---------------------------------------------------------------------------
-
-def atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
 
 def write_episodes_csv(rows: list, path) -> None:
     lines = [EPISODES_SCHEMA, ",".join(EPISODE_COLUMNS)]

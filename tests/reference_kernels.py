@@ -4,10 +4,12 @@ These are the straightforward versions that the optimised kernels in
 ``mflight`` replaced: an airfoil build of one control polygon at a time, an
 O(n^2) all-pairs segment crossing test and the pairs whose x-ranges overlap, a
 boundary-layer march on numpy scalars that calls Head's rates and the
-correlations as functions, a panel assembly that rotates the vortex
+correlations as functions (the correlations that ``march_surface`` writes out
+inline live only here), a panel assembly that rotates the vortex
 influence separately from the source influence, and a variance ratio that
-takes the max over the whole pool of window variances at every episode. The
-tests assert that the optimised kernels give bit-identical results.
+takes the max over the whole pool of window variances at every episode, and a
+trailing reward mean computed one episode at a time. The tests assert that
+the optimised kernels give bit-identical results.
 
 The PPO update is kept the same way: parameters as separate arrays, gradients
 in a dict keyed by array name, Adam's moments and step per array, and a
@@ -27,11 +29,7 @@ from mflight.boundary_layer import (
     SEP_CHORD_LIMIT,
     UE_FLOOR,
     SurfaceMarch,
-    entrainment,
-    head_h,
     head_h1,
-    ludwieg_tillmann_cf,
-    michel_retheta_crit,
     squire_young_cd,
     thwaites_correlations,
 )
@@ -151,6 +149,30 @@ def candidate_pairs_reference(points: np.ndarray):
     overlap[h - 1, 0] = overlap[0, h - 1] = False
     lower, upper = np.nonzero(overlap)
     return lower, upper + h
+
+
+def michel_retheta_crit(re_x: float) -> float:
+    """Transition threshold on Re_theta as a function of Re_x (Michel's line)."""
+    re_x = max(re_x, 1.0)
+    return 1.174 * (1.0 + 22400.0 / re_x) * re_x**0.46
+
+
+def head_h(h1: float) -> float:
+    """Inverse of Head's H1(H) correlation: H(H1)."""
+    h1 = max(h1, 3.32)
+    if h1 >= 5.3:
+        return 1.1 + 0.86 * (h1 - 3.3) ** -0.777
+    return 0.6778 + 1.1536 * (h1 - 3.3) ** -0.326
+
+
+def entrainment(h1: float) -> float:
+    """Head's entrainment function F(H1)."""
+    return 0.0306 * max(h1 - 3.0, 1e-3) ** -0.6169
+
+
+def ludwieg_tillmann_cf(h: float, re_theta: float) -> float:
+    """Ludwieg-Tillmann turbulent skin friction."""
+    return 0.246 * 10.0 ** (-0.678 * h) * max(re_theta, 1.0) ** -0.268
 
 
 def march_surface_reference(s: np.ndarray, ue: np.ndarray, x: np.ndarray, nu: float) -> SurfaceMarch:
@@ -326,6 +348,17 @@ def solve_panel_reference(points: np.ndarray, alpha: float = 0.0, kutta: bool = 
 
     return PanelSolution(cp=cp, vt=vt, cl=cl, x_mid=mid[:, 0], y_mid=mid[:, 1],
                          source_strengths=np.asarray(q), vortex_strength=gamma)
+
+
+def trailing_mean_reference(rewards, k: int) -> np.ndarray:
+    """Mean over the trailing min(e, k) rewards, for every episode e, one episode at a time."""
+    rewards = np.asarray(rewards, dtype=float)
+    out = np.empty(len(rewards))
+    csum = np.concatenate([[0.0], np.cumsum(rewards)])
+    for e in range(1, len(rewards) + 1):
+        lo = max(0, e - k)
+        out[e - 1] = (csum[e] - csum[lo]) / (e - lo)
+    return out
 
 
 def variance_ratios_reference(rewards, k: int) -> list[float]:

@@ -22,10 +22,11 @@ from mflight.agent import (
     save_checkpoint,
 )
 from mflight.ctl import TransferController, transfer
-from mflight.geometry import DesignVector, build_airfoil
+from mflight.geometry import build_airfoil
 from mflight.orchestrator import (
     collect_round,
     episodes_to_threshold,
+    greedy_designs,
     normalize_state,
     run_campaign,
     threshold_value,
@@ -309,8 +310,7 @@ def test_criterion_8_transfer_fidelity_agreement(multi_fidelity_pairs):
     ref = (5.5e6, 5e5)
 
     def mean_shape_cd(params, re_c):
-        mean, _ = forward_policy(params, normalize_state(re_c, ref))
-        shape = env.build_shape(DesignVector(np.clip(mean, -1.0, 1.0)))
+        (shape,) = env.build_shapes(greedy_designs(params, [re_c], ref))
         if not shape.valid:
             return None
         result = env.evaluate(shape, re_c)

@@ -135,13 +135,13 @@ class TestEnvironmentStep:
         v = np.zeros(13)
         v[[1, 3, 5]] = -1.0    # upper far below
         v[[7, 9, 11]] = 1.0    # lower far above
-        reward, info = env.step(DesignVector(v), 6e6)
+        ((reward, info),) = env.step_round(DesignVector(v), [6e6])
         assert reward == DEFAULT_PENALTY == -0.1
         assert not info["valid"]
 
     def test_reward_is_negated_drag(self):
         env = make_environment("low")
-        reward, info = env.step(DesignVector(np.zeros(13)), 6e6)
+        ((reward, info),) = env.step_round(DesignVector(np.zeros(13)), [6e6])
         assert info["valid"] and info["converged"]
         assert reward == -info["cd"]
 
@@ -151,7 +151,7 @@ class TestEnvironmentStep:
                             converged=True)
         env = make_environment("low")
         env._evaluate = lambda shape, re_c: result
-        reward, _ = env.step(DesignVector(np.zeros(13)), 6e6)
+        ((reward, _),) = env.step_round(DesignVector(np.zeros(13)), [6e6])
         assert reward == -0.0102
 
     def test_solver_error_maps_to_penalty(self):
@@ -163,7 +163,7 @@ class TestEnvironmentStep:
             raise SolverError("singular influence matrix")
 
         env._evaluate = boom
-        reward, info = env.step(DesignVector(np.zeros(13)), 6e6)
+        ((reward, info),) = env.step_round(DesignVector(np.zeros(13)), [6e6])
         assert reward == DEFAULT_PENALTY
         assert info["valid"] and not info["converged"]
         assert env.eval_count == 1
@@ -171,8 +171,8 @@ class TestEnvironmentStep:
     def test_identical_inputs_identical_rewards(self):
         env = make_environment("high")
         d = DesignVector(np.full(13, 0.1))
-        r1, _ = env.step(d, 8e6)
-        r2, _ = env.step(d, 8e6)
+        ((r1, _),) = env.step_round(d, [8e6])
+        ((r2, _),) = env.step_round(d, [8e6])
         assert r1 == r2
 
     def test_reused_workspace_gives_the_same_step(self):
@@ -181,22 +181,22 @@ class TestEnvironmentStep:
         work = env.work
         design_a = DesignVector(np.full(13, 0.3))
         design_b = DesignVector(np.linspace(-0.8, 0.6, 13))
-        first = env.step(design_a, 8e6)
-        between = env.step(design_b, 7.5e6)
-        again = env.step(design_a, 8e6)
+        (first,) = env.step_round(design_a, [8e6])
+        (between,) = env.step_round(design_b, [7.5e6])
+        (again,) = env.step_round(design_a, [8e6])
         assert env.work is work
         assert first[1]["converged"] and between[1]["converged"]
         assert first[0] != between[0]
         # repr round-trips every float, so equal reprs are equal bits
         assert repr(again) == repr(first)
-        fresh = make_environment("high", bounds=experiment_bounds()).step(design_a, 8e6)
+        (fresh,) = make_environment("high", bounds=experiment_bounds()).step_round(design_a, [8e6])
         assert repr(fresh) == repr(first)
 
     def test_reward_bounded_by_penalty(self):
         env = make_environment("low")
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            reward, _ = env.step(DesignVector(rng.uniform(-1, 1, 13)), 6e6)
+        outcomes = env.step_round(DesignVector(rng.uniform(-1, 1, (20, 13))), [6e6] * 20)
+        for reward, _ in outcomes:
             assert reward <= 0.0
             assert reward >= DEFAULT_PENALTY
 
@@ -207,7 +207,7 @@ class TestEnvironmentStep:
         for fidelity in ("low", "high"):
             env = make_environment(fidelity)
             assert isinstance(env, Environment)
-            reward, info = env.step(d, 7e6)
+            ((reward, info),) = env.step_round(d, [7e6])
             rewards[fidelity] = reward
             assert reward < 0
         assert rewards["low"] != rewards["high"]
@@ -220,8 +220,9 @@ class TestEnvironmentStep:
         env = make_environment("low", bounds=GeometryBounds(lo=lo, hi=hi))
         bad = np.zeros(13)
         bad[[1, 3, 5]] = -1.0
-        env.step(DesignVector(bad), 6e6)       # invalid -> penalty
-        env.step(DesignVector(np.zeros(13)), 6e6)
+        outcomes = env.step_round(DesignVector(np.stack([bad, np.zeros(13)])), [6e6, 6e6])
+        assert [info["valid"] for _, info in outcomes] == [False, True]
+        assert outcomes[0][0] == DEFAULT_PENALTY
         assert env.eval_count == 2
 
 

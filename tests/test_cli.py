@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mflight import cli
+from mflight.aeroenv import Environment
 from mflight.agent import load_checkpoint
 from mflight.errors import CheckpointError
 
@@ -133,6 +134,21 @@ class TestTrain:
         assert cli.main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_mean_airfoils_are_built_not_priced(self, tmp_path, monkeypatch):
+        calls = []
+        evaluate = Environment.evaluate
+
+        def counted(self, shape, re_c):
+            calls.append(re_c)
+            return evaluate(self, shape, re_c)
+
+        monkeypatch.setattr(Environment, "evaluate", counted)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "airfoil_target_mean.dat").stat().st_size > 0
+        assert calls == []
 
     def test_ctl_mode_writes_source_checkpoint(self, tmp_path):
         cfg = write_config(

@@ -30,6 +30,7 @@ from mflight.geometry import (
     build_airfoil,
     decode,
 )
+from mflight.orchestrator import trailing_mean
 from mflight.panel import PanelWorkspace, solve_panel
 from mflight.ppo import ExperienceBatch, PpoConfig, PpoTrainer
 
@@ -42,6 +43,7 @@ from reference_kernels import (
     march_surface_reference,
     segments_cross_reference,
     solve_panel_reference,
+    trailing_mean_reference,
     variance_ratios_reference,
 )
 
@@ -374,11 +376,11 @@ class TestLowFidelityReward:
     @given(design=actions, re_c=st.floats(RE_FLOOR, 1e8))
     def test_reward_equals_solved_drag(self, design, re_c):
         env = make_environment("low")
-        shape = env.build_shape(design)
+        (shape,) = env.build_shapes(design)
         assume(shape.valid)
         # every valid 60-panel shape solves, so the solve could never penalize
         solved = low_fidelity_cd(shape, re_c)
-        reward, info = env.step(design, re_c)
+        ((reward, info),) = env.step_round(design, [re_c])
         assert reward == -solved.cd
         assert info["converged"] and info["cl"] is None
 
@@ -404,6 +406,20 @@ class TestVarianceRatio:
         expected = variance_ratios_reference(rewards, k)
         assert [bits(b) for b in betas] == [bits(b) for b in expected]
         assert [bits(b) for b in ctrl.beta_history] == [bits(b) for b in expected]
+
+
+class TestTrailingMean:
+    """The array expression gives the per-episode loop's trailing means bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rewards=st.lists(st.floats(-1e3, 1e3), max_size=150), k=st.integers(1, 200))
+    @example(rewards=[], k=1)
+    @example(rewards=[-0.1, -0.01, -0.05, -0.05, 0.0, -0.02], k=1)
+    def test_bitwise_equal_to_the_loop(self, rewards, k):
+        got = trailing_mean(np.array(rewards), k)
+        expected = trailing_mean_reference(rewards, k)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def oracle_batch(rng, params, size):

@@ -108,7 +108,8 @@ class TestCollectRound:
             re_c = sample_state(cfg.target.dist, rng)
             state = normalize_state(re_c, ref)
             ga = agent.act(params, state, rng)
-            reward, info = one_env.step(DesignVector(ga.clipped_action), re_c, cfg.penalty)
+            ((reward, info),) = one_env.step_round(DesignVector(ga.clipped_action), [re_c],
+                                                   cfg.penalty)
             assert repr((rec.re_c, rec.state, rec.reward, rec.info)) \
                 == repr((re_c, state, reward, info)), j
             assert repr((rec.log_prob_old, rec.value_old)) \
@@ -275,17 +276,52 @@ class TestEvaluatePolicy:
         params = agent.init_params(np.random.default_rng(9))
         env = make_environment("low")
         result = evaluate_policy(params, StateDistribution(5.5e6, 5e5), env, 0, 0,
-                                 (5.5e6, 5e5))
+                                 (5.5e6, 5e5), episodes_per_update=20)
         assert result.summary == {}
         assert len(result.rewards) == 0
         assert result.mean_shape is not None
+
+    @pytest.mark.parametrize("fidelity", ["low", "high"])
+    def test_rounds_equal_episode_by_episode_steps(self, fidelity):
+        # 45 episodes in rounds of 20: two full rounds and a ragged one of 5
+        params = agent.init_params(np.random.default_rng(14))
+        dist = StateDistribution(8e6, 5e5)
+        ref = (5.5e6, 5e5)
+        env = make_environment(fidelity, bounds=experiment_bounds())
+        rows = []
+        step_round = env.step_round
+
+        def counted(designs, re_cs, penalty):
+            rows.append(len(re_cs))
+            return step_round(designs, re_cs, penalty)
+
+        env.step_round = counted
+        result = evaluate_policy(params, dist, env, 45, 6, ref, -0.1, episodes_per_update=20)
+        assert rows == [20, 20, 5]
+
+        one_env = make_environment(fidelity, bounds=experiment_bounds())
+        expected = np.empty(45)
+        for i in range(45):
+            re_c = sample_state(dist, episode_rng(6, "eval", i))
+            mean, _ = agent.forward_policy(params, normalize_state(re_c, ref))
+            ((expected[i], _),) = one_env.step_round(DesignVector(np.clip(mean, -1.0, 1.0)),
+                                                     [re_c], -0.1)
+        assert result.rewards.tobytes() == expected.tobytes()
+        assert len(set(expected.tolist())) > 1
+
+        mean, _ = agent.forward_policy(params, normalize_state(dist.mu, ref))
+        (shape,) = one_env.build_shapes(DesignVector(np.clip(mean, -1.0, 1.0)))
+        assert result.mean_shape.points.tobytes() == shape.points.tobytes()
+        assert result.mean_shape.valid and result.mean_aero is not None
+        assert repr(result.mean_aero.cd) == repr(one_env.evaluate(shape, dist.mu).cd)
+        assert env.eval_count == one_env.eval_count == 46
 
     def test_deterministic(self):
         params = agent.init_params(np.random.default_rng(10))
         env = make_environment("low")
         dist = StateDistribution(5.5e6, 5e5)
-        a = evaluate_policy(params, dist, env, 50, 3, (5.5e6, 5e5))
-        b = evaluate_policy(params, dist, env, 50, 3, (5.5e6, 5e5))
+        a = evaluate_policy(params, dist, env, 50, 3, (5.5e6, 5e5), episodes_per_update=20)
+        b = evaluate_policy(params, dist, env, 50, 3, (5.5e6, 5e5), episodes_per_update=20)
         assert_allclose(a.rewards, b.rewards, rtol=0, atol=0)
         assert a.summary == b.summary
 
@@ -298,7 +334,8 @@ class TestEvaluatePolicy:
 
         monkeypatch.setattr(env, "evaluate", failing_evaluate)
         params = agent.init_params(np.random.default_rng(12))
-        return evaluate_policy(params, StateDistribution(5.5e6, 5e5), env, 0, 0, (5.5e6, 5e5))
+        return evaluate_policy(params, StateDistribution(5.5e6, 5e5), env, 0, 0, (5.5e6, 5e5),
+                               episodes_per_update=20)
 
     def test_solver_error_drops_mean_shape_aero(self, monkeypatch):
         result = self._evaluate_mean_shape_raising(monkeypatch, SolverError)
@@ -313,7 +350,7 @@ class TestEvaluatePolicy:
         params.log_std[:] = 2.0   # huge sampling noise would show up if sampled
         env = make_environment("low")
         dist = StateDistribution(5.5e6, 1e2)   # nearly a point mass
-        result = evaluate_policy(params, dist, env, 10, 0, (5.5e6, 5e5))
+        result = evaluate_policy(params, dist, env, 10, 0, (5.5e6, 5e5), episodes_per_update=20)
         assert result.rewards.std() < 1e-6
 
 
@@ -352,7 +389,7 @@ class TestPersistence:
                                       dist=source_dist, max_episodes=1200)
         source_agent = run_campaign(source_cfg).params
         base = evaluate_policy(source_agent, source_dist, env, 300, 7,
-                               (5.5e6, 5e5)).rewards.mean()
+                               (5.5e6, 5e5), episodes_per_update=20).rewards.mean()
         gaps = []
         for mu in (6e6, 1e7):
             cfg = experiment_config("single_fidelity_ctl", seed=2101,
@@ -360,6 +397,6 @@ class TestPersistence:
                                     target_budget=1200)
             report = run_campaign(cfg)
             mean = evaluate_policy(report.params, source_dist, env, 300, 7,
-                                   (5.5e6, 5e5)).rewards.mean()
+                                   (5.5e6, 5e5), episodes_per_update=20).rewards.mean()
             gaps.append(base - mean)
         assert gaps[1] > gaps[0]

@@ -120,7 +120,7 @@ rng = np.random.default_rng(3)
 digest = hashlib.sha256()
 solved = 0
 while solved < 40:
-    shape = env.build_shape(DesignVector(rng.uniform(-1.0, 1.0, 13)))
+    (shape,) = env.build_shapes(DesignVector(rng.uniform(-1.0, 1.0, 13)))
     if shape.valid:
         sol = solve_panel(shape.points)
         for arr in (sol.vt, sol.cp, sol.source_strengths, np.array([sol.cl])):

@@ -1,4 +1,4 @@
-"""Print best-of-7 per-call times of the geometry build and of one PPO update.
+"""Print best-of-7 per-call times of the geometry build, a priced round and a PPO update.
 
     python3 tools/layer_timings.py
 
@@ -7,6 +7,9 @@ Times, with fixed seeds and one BLAS thread:
 - ``geometry.build_airfoil`` on stacks of 1 and 20 designs at 62 and 202
   points. The designs are drawn uniformly from [-1, 1] and decoded in the
   design box of bench/configs/lowfi_transfer.json;
+- ``Environment.step_round`` on one fixed round of 20 designs at each
+  fidelity (62 and 202 points), in the same box and drawn the same way, at
+  Reynolds numbers drawn uniformly from [5e6, 9e6];
 - one PPO update of 10 epochs on a batch of 20 episodes. It starts from the
   policy in bench/eval.ckpt (13 actions, hidden (64, 64)) and has no KL stop.
 
@@ -34,6 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from mflight import config  # noqa: E402
+from mflight.aeroenv import make_environment  # noqa: E402
 from mflight.agent import forward_policy, gaussian_log_prob, load_checkpoint, value  # noqa: E402
 from mflight.geometry import build_airfoil, decode  # noqa: E402
 from mflight.ppo import EpisodeRecord, ExperienceBatch, PpoConfig, PpoTrainer  # noqa: E402
@@ -65,8 +69,12 @@ def best_of(setup, run) -> float:
     return min(times)
 
 
+def design_box():
+    return config.build_run_config(config.load_document(CONFIG)).bounds
+
+
 def build_timings():
-    bounds = config.build_run_config(config.load_document(CONFIG)).bounds
+    bounds = design_box()
     rnd = random.Random(2024)
     for n_points in (62, 202):
         for stack in (1, 20):
@@ -75,6 +83,17 @@ def build_timings():
             seconds = best_of(lambda n: [polygon] * n,
                               lambda p: build_airfoil(p, n_points))
             yield f"build_airfoil B={stack:<2d} n_points={n_points:<3d}", seconds
+
+
+def step_round_timings():
+    bounds = design_box()
+    rnd = random.Random(2024)
+    designs = [[rnd.uniform(-1.0, 1.0) for _ in range(13)] for _ in range(20)]
+    re_cs = [rnd.uniform(5e6, 9e6) for _ in range(20)]
+    for fidelity in ("low", "high"):
+        env = make_environment(fidelity, bounds=bounds)
+        seconds = best_of(lambda n: [designs] * n, lambda d: env.step_round(d, re_cs))
+        yield f"step_round B=20 fidelity={fidelity:<4s} n_points={env.n_points:<3d}", seconds
 
 
 def ppo_batch(params, size: int, seed: int) -> ExperienceBatch:
@@ -109,7 +128,7 @@ def main() -> int:
     print(f"# nproc={os.cpu_count()} python={platform.python_version()} "
           f"numpy={importlib.metadata.version('numpy')} "
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']} best of {REPS}")
-    for label, seconds in (*build_timings(), *ppo_timing()):
+    for label, seconds in (*build_timings(), *step_round_timings(), *ppo_timing()):
         print(f"{label:<48s} {seconds * 1e3:8.3f} ms", flush=True)
     return 0
 
