@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import numpy as np
 
@@ -205,12 +206,15 @@ def as_int(value, key: str) -> int:
 
 
 def as_float(value, key: str) -> float:
-    """A float config value; a boolean raises ConfigError (float(True) would be 1.0)."""
+    """A float config value; a boolean (float(True) would be 1.0) or NaN raises ConfigError."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (ValueError, OverflowError):
             pass
+        else:
+            if not math.isnan(number):
+                return number
     raise ConfigError(f"{key} must be a number, got {value!r}")
 
 

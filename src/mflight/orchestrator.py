@@ -109,6 +109,8 @@ class RunConfig:
         # a valid design earns -cd < 0; a penalty >= 0 would pay failures more than any design
         if not (np.isfinite(self.penalty) and self.penalty < 0.0):
             raise ConfigError(f"penalty must be finite and negative, got {self.penalty!r}")
+        if not math.isfinite(self.log_std_init):
+            raise ConfigError(f"agent.log_std_init must be finite, got {self.log_std_init!r}")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"agent hidden widths must be >= 1, got {list(self.hidden)}")
         if not (math.isfinite(self.blend_fraction) and 0.0 <= self.blend_fraction <= 1.0):

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import ConfigError, SolverError
 
@@ -28,11 +26,67 @@ CLOSURE_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
 
 
-def _pin_blas_to_one_thread() -> None:
+def _vendored_openblas(package: str) -> list[ctypes.CDLL]:
+    """The OpenBLAS a wheel vendors under ``<package>.libs``, loaded without importing it.
+
+    Loading by path gives the same library the package's own extensions use.
+    """
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return []
+    pattern = spec.submodule_search_locations[0] + ".libs/libscipy_openblas*.so"
+    return [ctypes.CDLL(path) for path in glob.glob(pattern)]
+
+
+def _bind_lu(libs: list[ctypes.CDLL]):
+    """LAPACK's dgetrf and dgetrs as ``getrf(a) -> (lu, piv, info)`` and
+    ``getrs(lu, piv, b) -> (x, info)``.
+
+    ``getrf`` factorizes the Fortran-order ``a`` in place. Both come from
+    scipy's vendored OpenBLAS (LP64 integers), the library behind
+    ``scipy.linalg.lu_factor``/``lu_solve``, so the bits are theirs without
+    importing scipy. Without that library, the same two routines are bound
+    from ``scipy.linalg.lapack``, which imports scipy.
+    """
+    routines = [(lib.scipy_dgetrf_, lib.scipy_dgetrs_) for lib in libs
+                if hasattr(lib, "scipy_dgetrf_") and hasattr(lib, "scipy_dgetrs_")]
+    if not routines:
+        log.warning("no vendored OpenBLAS LAPACK found; the panel LU imports scipy.linalg.lapack")
+        from scipy.linalg import lapack
+
+        return (lambda a: lapack.dgetrf(a, overwrite_a=1),
+                lambda lu, piv, b: lapack.dgetrs(lu, piv, b))
+    dgetrf, dgetrs = routines[0]
+    int_p, ptr = ctypes.POINTER(ctypes.c_int32), ctypes.c_void_p
+    dgetrf.argtypes, dgetrf.restype = [int_p, int_p, ptr, int_p, ptr, int_p], None
+    dgetrs.argtypes, dgetrs.restype = [ctypes.c_char_p, int_p, int_p, ptr, int_p, ptr, ptr,
+                                       int_p, int_p], None
+    ref = ctypes.byref
+
+    def getrf(a):
+        if not (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1]
+                and a.flags.f_contiguous and a.flags.writeable):
+            raise ValueError("getrf takes a writable square Fortran-order float64 array")
+        n, info = ctypes.c_int32(a.shape[0]), ctypes.c_int32()
+        piv = np.empty(a.shape[0], dtype=np.int32)  # 1-based, as getrs reads it
+        dgetrf(ref(n), ref(n), a.ctypes.data, ref(n), piv.ctypes.data, ref(info))
+        return a, piv, info.value
+
+    def getrs(lu, piv, b):
+        x = np.array(b, dtype=float)  # b itself is not overwritten
+        if x.shape != piv.shape or piv.dtype != np.int32:
+            raise ValueError("getrs takes the pivots of getrf and one right-hand side")
+        n, one, info = ctypes.c_int32(lu.shape[0]), ctypes.c_int32(1), ctypes.c_int32()
+        dgetrs(b"N", ref(n), ref(one), lu.ctypes.data, ref(n), piv.ctypes.data, x.ctypes.data,
+               ref(n), ref(info))
+        return x, info.value
+
+    return getrf, getrs
+
+
+def _pin_blas_to_one_thread(libs: list[ctypes.CDLL]) -> None:
     """Run the wheels' OpenBLAS on one thread: a threaded LU rounds differently."""
-    libs = [path for package in (scipy, np)  # each library is already loaded by its package
-            for path in glob.glob(package.__path__[0] + ".libs/libscipy_openblas*.so")]
-    setters = [getattr(lib, name) for lib in map(ctypes.CDLL, libs)
+    setters = [getattr(lib, name) for lib in libs
                for name in ("scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
                if hasattr(lib, name)]
     for setter in setters:
@@ -42,7 +96,9 @@ def _pin_blas_to_one_thread() -> None:
         log.warning("no bundled OpenBLAS thread setter found; LU bits may depend on its pool")
 
 
-_pin_blas_to_one_thread()
+_SCIPY_OPENBLAS = _vendored_openblas("scipy")
+_getrf, _getrs = _bind_lu(_SCIPY_OPENBLAS)
+_pin_blas_to_one_thread(_SCIPY_OPENBLAS + _vendored_openblas("numpy"))
 
 
 @dataclass
@@ -71,11 +127,18 @@ class PanelWorkspace:
         if n_panels < 40:
             raise ConfigError("panel count must be >= 40")
         self.n_panels = n_panels
-        self.dx, self.dy, self.xs, self.w, self.dot = (np.empty((n_panels, n_panels))
-                                                        for _ in range(5))
-        # storage of the Fortran-order influence matrix: (n+1)^2 with the
-        # Kutta row and column, of which the first n^2 serve without them
-        self._matrix = np.empty((n_panels + 1) ** 2)
+        # One block holds the five n x n buffers and, behind them, the storage
+        # of the Fortran-order influence matrix: (n+1)^2 with the Kutta row
+        # and column, of which the first n^2 serve without them. Allocated
+        # apart, arrays of this size can each get their own mapping and so
+        # the same offset within a page (always, under the CLI's heap
+        # setting); in one block their starts are n^2 * 8 bytes apart, and a
+        # solve runs faster.
+        nn = n_panels * n_panels
+        block = np.empty(5 * nn + (n_panels + 1) ** 2)
+        self.dx, self.dy, self.xs, self.w, self.dot = (
+            block[k * nn:(k + 1) * nn].reshape(n_panels, n_panels) for k in range(5))
+        self._matrix = block[5 * nn:]
 
     def influence_matrix(self, m: int) -> np.ndarray:
         """An m x m Fortran-order view of the matrix storage (m <= n + 1)."""
@@ -194,16 +257,22 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True,
     a[:n, :n] = np.subtract(np.multiply(ny[:, None], vs_g, out=w1),
                             np.multiply(sin_t[:, None], us_g, out=w2), out=w1)
 
-    try:
-        with warnings.catch_warnings():
-            # singularity is detected below via the pivot magnitudes
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(a, overwrite_a=True)
-    except Exception as exc:  # LinAlgError on hard singularity
-        raise SolverError(f"influence matrix factorization failed: {exc}") from exc
+    # the checks of scipy.linalg.lu_factor and lu_solve, with their outcomes
+    if not np.isfinite(a).all():
+        raise SolverError("influence matrix factorization failed: "
+                          "array must not contain infs or NaNs")
+    lu, piv, info = _getrf(a)
+    if info < 0:
+        raise SolverError(f"influence matrix factorization failed: "
+                          f"illegal value in argument {-info} of getrf")
+    # an exactly zero pivot (info > 0) fails this test too
     if np.abs(np.diag(lu)).min() < PIVOT_TOL:
         raise SolverError("influence matrix is singular (pivot below 1e-12)")
-    sol = lu_solve((lu, piv), b)
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    sol, info = _getrs(lu, piv, b)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
 
     q = sol[:n] if kutta else sol
     gamma = float(sol[n]) if kutta else 0.0

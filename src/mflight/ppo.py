@@ -13,6 +13,7 @@ a step, a finite check, a backup and a rollback are whole-vector operations.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,10 +39,15 @@ class PpoConfig:
     def __post_init__(self):
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError("clip_epsilon must lie in (0, 1)")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs_per_update < 1:
             raise ValueError("epochs_per_update must be >= 1")
+        if not (math.isfinite(self.entropy_coeff) and math.isfinite(self.value_coeff)):
+            raise ValueError("entropy_coeff and value_coeff must be finite")
+        # infinity means no clipping and no KL stop
+        if not (self.max_grad_norm > 0.0 and self.kl_stop > 0.0):
+            raise ValueError("max_grad_norm and kl_stop must be > 0")
 
 
 @dataclass

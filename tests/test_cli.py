@@ -124,6 +124,18 @@ class TestTrain:
         ["geometry.blend_fraction=true"],
         ["target.sigma=true"],
         ["evaluation.mu=true"],
+        ["ppo.kl_stop=NaN"],
+        ["ppo.kl_stop=-1"],
+        ["ppo.kl_stop=0"],
+        ["ppo.max_grad_norm=NaN"],
+        ["ppo.max_grad_norm=-Infinity"],
+        ["ppo.max_grad_norm=0"],
+        ["ppo.learning_rate=NaN"],
+        ["ppo.learning_rate=Infinity"],
+        ["ppo.entropy_coeff=NaN"],
+        ["ppo.value_coeff=-Infinity"],
+        ["agent.log_std_init=NaN"],
+        ["agent.log_std_init=Infinity"],
     ], ids=lambda overrides: " ".join(overrides))
     def test_bad_value_exits_2_before_any_compute(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "c.json")

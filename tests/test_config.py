@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -86,6 +87,13 @@ class TestValidation:
         doc.update(edit)
         with pytest.raises(ConfigError, match="must be a number"):
             config_mod.build_run_config(config_mod.validate_document(doc))
+
+    def test_infinity_means_no_kl_stop_and_no_clipping(self):
+        doc = config_mod.validate_document(minimal_doc())
+        doc = config_mod.apply_overrides(doc, ["ppo.kl_stop=Infinity",
+                                               "ppo.max_grad_norm=Infinity"])
+        cfg = config_mod.build_run_config(doc)
+        assert cfg.ppo.kl_stop == cfg.ppo.max_grad_norm == math.inf
 
     def test_state_reference_needs_both_fields(self):
         doc = minimal_doc()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mflight import boundary_layer as bl
+from mflight import panel
 from mflight.aeroenv import RE_FLOOR, low_fidelity_cd, make_environment
 from mflight.agent import forward_policy, gaussian_log_prob, init_params
 from mflight.ctl import TransferController
@@ -369,6 +370,48 @@ class TestSolvePanel:
             PanelWorkspace(30)
 
 
+class TestLapackBinding:
+    """The panel LU's getrf/getrs give the bits of scipy.linalg.lu_factor/lu_solve."""
+
+    @pytest.mark.parametrize("n", [41, 61, 201, 401])
+    def test_factors_pivots_and_solution_equal_scipy_linalg(self, n):
+        from scipy.linalg import lu_factor, lu_solve
+
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a = np.asfortranarray(rng.standard_normal((n, n)))
+            b = rng.standard_normal(n)
+            lu_ref, piv_ref = lu_factor(a)
+            lu, piv, info = panel._getrf(a.copy(order="F"))
+            x, info_solve = panel._getrs(lu, piv, b)
+            assert info == info_solve == 0
+            assert lu.tobytes() == lu_ref.tobytes()
+            assert np.array_equal(piv, piv_ref + 1)  # LAPACK's 1-based pivots
+            assert x.tobytes() == lu_solve((lu_ref, piv_ref), b).tobytes()
+
+    def test_exact_zero_pivot_is_reported_and_fails_the_pivot_test(self):
+        lu, _, info = panel._getrf(np.asfortranarray(np.ones((40, 40))))
+        assert info == 2
+        assert np.abs(np.diag(lu)).min() < panel.PIVOT_TOL
+
+    def test_fallback_logs_one_warning_and_gives_the_same_bits(self, monkeypatch, caplog):
+        monkeypatch.setattr(panel.glob, "glob", lambda pattern: [])
+        with caplog.at_level("WARNING", logger="mflight.panel"):
+            fallback = panel._bind_lu(panel._vendored_openblas("scipy"))
+        assert len(caplog.records) == 1
+        theta = np.linspace(0.0, -2.0 * np.pi, 201)
+        cylinder = np.column_stack([np.cos(theta), np.sin(theta)])
+        cylinder[-1] = cylinder[0]
+        cases = [(points, alpha, True) for points, alpha in seeded_shapes(23, 16)]
+        cases.append((cylinder, 0.0, False))
+        assert {len(points) - 1 for points, _, _ in cases} == {60, 200}
+        default = [solve_panel(points, alpha=alpha, kutta=kutta) for points, alpha, kutta in cases]
+        monkeypatch.setattr(panel, "_getrf", fallback[0])
+        monkeypatch.setattr(panel, "_getrs", fallback[1])
+        for (points, alpha, kutta), expected in zip(cases, default):
+            assert_solutions_equal(solve_panel(points, alpha=alpha, kutta=kutta), expected)
+
+
 class TestLowFidelityReward:
     """The low-fidelity reward runs no panel solve; that moves no reward."""
 
@@ -477,7 +520,7 @@ class TestPpoUpdate:
            action_dim=st.integers(1, 13),
            sizes=st.lists(st.integers(1, 25), min_size=2, max_size=5),
            lr=st.floats(1e-4, 0.3),
-           max_grad_norm=st.sampled_from([0.0, 0.1, 0.5, 10.0]),
+           max_grad_norm=st.sampled_from([0.1, 0.5, 10.0, math.inf]),
            kl_stop=st.sampled_from([0.001, 0.05, math.inf]),
            epochs=st.integers(1, 10),
            nan_at=st.integers(-1, 4),

@@ -147,6 +147,34 @@ class TestBlasThreads:
 
     def test_no_library_found_logs_one_warning(self, monkeypatch, caplog):
         monkeypatch.setattr(panel.glob, "glob", lambda pattern: [])
+        libs = panel._vendored_openblas("scipy") + panel._vendored_openblas("numpy")
         with caplog.at_level("WARNING", logger="mflight.panel"):
-            panel._pin_blas_to_one_thread()
+            panel._pin_blas_to_one_thread(libs)
+        assert libs == []
         assert len(caplog.records) == 1
+
+
+# a tiny high-fidelity campaign and its evaluation; prints whether scipy was imported
+NO_SCIPY = """
+import json, sys
+from mflight import cli
+imported = "scipy" in sys.modules
+doc = {"schema_version": 1, "mode": "scratch", "seed": 5, "agent": {"hidden": [8]},
+       "target": {"fidelity": "high", "mu": 5.5e6, "sigma": 5e5, "max_episodes": 20},
+       "evaluation": {"episodes": 4}}
+with open("cfg.json", "w") as fh:
+    json.dump(doc, fh)
+assert cli.main(["train", "--config", "cfg.json", "--out", "run"]) == 0
+assert cli.main(["evaluate", "--checkpoint", "run/checkpoint_target_final.ckpt",
+                 "--config", "cfg.json", "--out", "eval"]) == 0
+print(imported, "scipy" in sys.modules)
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.split() == ["False", "False"]

@@ -1,4 +1,4 @@
-"""Print best-of-7 per-call times of the geometry build, a priced round and a PPO update.
+"""Print best-of-7 per-call times of the layers, a priced round, a PPO update and the import.
 
     python3 tools/layer_timings.py
 
@@ -7,16 +7,23 @@ Times, with fixed seeds and one BLAS thread:
 - ``geometry.build_airfoil`` on stacks of 1 and 20 designs at 62 and 202
   points. The designs are drawn uniformly from [-1, 1] and decoded in the
   design box of bench/configs/lowfi_transfer.json;
+- ``panel.solve_panel`` at 60 and 200 panels in a reused workspace, on the
+  first valid shape of those draws at 62 and 202 points;
+- ``boundary_layer.march_surface`` on the upper surface of that 200-panel
+  solve at Re 5.5e6;
 - ``Environment.step_round`` on one fixed round of 20 designs at each
   fidelity (62 and 202 points), in the same box and drawn the same way, at
   Reynolds numbers drawn uniformly from [5e6, 9e6];
 - one PPO update of 10 epochs on a batch of 20 episodes. It starts from the
-  policy in bench/eval.ckpt (13 actions, hidden (64, 64)) and has no KL stop.
+  policy in bench/eval.ckpt (13 actions, hidden (64, 64)) and has no KL stop;
+- ``import mflight.cli`` in a fresh interpreter started with ``subprocess``:
+  the import's wall time and the child's peak resident memory (``ru_maxrss``).
 
-Each line is the best of 7 repetitions; a repetition averages
-enough calls to last about 0.05 s, short enough that on a shared host
-some repetitions miss the other load. The times are for comparing two
-checkouts on one host: run the script in each and read the lines side by side.
+Each line is the best of 7 repetitions; a repetition averages enough
+calls to last about 0.05 s, short enough that on a shared host some
+repetitions miss the other load. The import runs once per child, seven
+children. The times are for comparing two checkouts on one host: run the
+script in each and read the lines side by side.
 It is not a test and not a gate. It uses only the standard library and the
 mflight package of the checkout it lives in.
 """
@@ -28,6 +35,7 @@ import math
 import os
 import platform
 import random
+import subprocess
 import sys
 import time
 
@@ -36,10 +44,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from mflight import config  # noqa: E402
+from mflight import boundary_layer, config  # noqa: E402
 from mflight.aeroenv import make_environment  # noqa: E402
 from mflight.agent import forward_policy, gaussian_log_prob, load_checkpoint, value  # noqa: E402
 from mflight.geometry import build_airfoil, decode  # noqa: E402
+from mflight.panel import PanelWorkspace, solve_panel  # noqa: E402
 from mflight.ppo import EpisodeRecord, ExperienceBatch, PpoConfig, PpoTrainer  # noqa: E402
 
 CONFIG = os.path.join(ROOT, "bench", "configs", "lowfi_transfer.json")
@@ -85,6 +94,47 @@ def build_timings():
             yield f"build_airfoil B={stack:<2d} n_points={n_points:<3d}", seconds
 
 
+def first_valid_shape(n_points: int):
+    bounds = design_box()
+    rnd = random.Random(2024)
+    while True:
+        (shape,) = build_airfoil(decode([rnd.uniform(-1.0, 1.0) for _ in range(13)], bounds),
+                                 n_points)
+        if shape.valid:
+            return shape
+
+
+def panel_and_march_timings():
+    for n_points in (62, 202):
+        points = first_valid_shape(n_points).points
+        work = PanelWorkspace(n_points - 2)
+        seconds = best_of(lambda n: [points] * n, lambda p: solve_panel(p, work=work))
+        yield f"solve_panel n_panels={n_points - 2:<3d} workspace", seconds
+    sol = solve_panel(points, work=work)
+    _, (s, ue, x) = boundary_layer.split_surfaces(sol.x_mid, sol.y_mid, sol.vt)
+    seconds = best_of(lambda n: [ue] * n,
+                      lambda u: boundary_layer.march_surface(s, u, x, 1.0 / 5.5e6))
+    yield f"march_surface upper stations={len(s):<3d} Re=5.5e6", seconds
+
+
+# the import's wall time and the peak resident memory, in a fresh interpreter
+IMPORT_CLI = """
+import resource, time
+t0 = time.perf_counter()
+import mflight.cli
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def import_timing():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    runs = [subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env, check=True,
+                           capture_output=True, text=True).stdout.split() for _ in range(REPS)]
+    seconds = min(float(wall) for wall, _ in runs)
+    rss_mb = min(int(kb) for _, kb in runs) / 1024.0
+    yield f"import mflight.cli (fresh interpreter, rss {rss_mb:.1f} MB)", seconds
+
+
 def step_round_timings():
     bounds = design_box()
     rnd = random.Random(2024)
@@ -128,7 +178,8 @@ def main() -> int:
     print(f"# nproc={os.cpu_count()} python={platform.python_version()} "
           f"numpy={importlib.metadata.version('numpy')} "
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']} best of {REPS}")
-    for label, seconds in (*build_timings(), *step_round_timings(), *ppo_timing()):
+    for label, seconds in (*build_timings(), *panel_and_march_timings(), *step_round_timings(),
+                           *ppo_timing(), *import_timing()):
         print(f"{label:<48s} {seconds * 1e3:8.3f} ms", flush=True)
     return 0
 
