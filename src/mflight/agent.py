@@ -88,14 +88,14 @@ class PolicyParams:
         named = layout(sizes)
         ends = list(itertools.accumulate(math.prod(shape) for _, shape in named))
         # (name, start, end, shape) of every array, computed once and shared by views()
-        self._spans = [(name, end - math.prod(shape), end, shape)
+        self.spans = [(name, end - math.prod(shape), end, shape)
                        for (name, shape), end in zip(named, ends)]
         self._bind(np.zeros(ends[-1]) if flat is None else flat)
 
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
         self._tensors = [(name, flat[start:end].reshape(shape))
-                         for name, start, end, shape in self._spans]
+                         for name, start, end, shape in self.spans]
         t = [view for _, view in self._tensors]  # policy w/b pairs, log_std, value w/b pairs
         d = len(t) // 4                          # layers per network
         self.policy = Mlp(t[:2 * d:2], t[1:2 * d:2])
@@ -113,7 +113,7 @@ class PolicyParams:
     def views(self, vec: np.ndarray) -> "PolicyParams":
         """The same layout over another vector, such as a gradient; nothing is copied."""
         out = object.__new__(PolicyParams)
-        out._spans = self._spans
+        out.spans = self.spans
         out._bind(vec)
         return out
 
@@ -155,9 +155,10 @@ def forward_policy(params: PolicyParams, state):
 
 
 def value(params: PolicyParams, state):
-    """Scalar state-value estimate V(s)."""
-    v = params.value.forward(_as_batch(state))[:, 0]
-    return float(v[0]) if np.ndim(state) == 0 else v
+    """State-value estimate V(s): a float for one state, an array for a batch."""
+    if np.ndim(state) == 0:
+        return float(params.value.forward(np.array([[state]], dtype=float))[0, 0])
+    return params.value.forward(_as_batch(state))[:, 0]
 
 
 def gaussian_log_prob(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
@@ -170,20 +171,31 @@ def gaussian_log_prob(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray
 
 
 @dataclass
-class GaussianAction:
-    """A sampled action with its pre-clip log-probability."""
+class GaussianActions:
+    """A round of sampled actions, one row per state."""
 
-    action: np.ndarray
-    log_prob: float
-    clipped_action: np.ndarray
+    actions: np.ndarray    # (T, d) pre-clip samples
+    log_probs: np.ndarray  # (T,) log-probabilities of the pre-clip samples
+    clipped: np.ndarray    # (T, d) samples clamped to [-1, 1] for the environment
 
 
-def act(params: PolicyParams, state: float, rng: np.random.Generator) -> GaussianAction:
-    """Sample a ~ N(mean(s), diag(std^2)); clip only for the environment."""
-    mean, std = forward_policy(params, float(state))
-    a = mean + std * rng.standard_normal(params.action_dim)
-    log_prob = float(gaussian_log_prob(a[None, :], mean[None, :], params.log_std)[0])
-    return GaussianAction(action=a, log_prob=log_prob, clipped_action=np.clip(a, -1.0, 1.0))
+def act(params: PolicyParams, states, rngs) -> GaussianActions:
+    """Sample a_j ~ N(mean(s_j), diag(std^2)) for each state s_j, drawing from ``rngs[j]``.
+
+    Each mean is a single-state forward pass: a batched pass rounds differently
+    in the last bits. The rest is elementwise or sums over one row, so it runs
+    once on the stack with the bits of one row at a time.
+    """
+    d = params.action_dim
+    means = np.empty((len(states), d))
+    noise = np.empty((len(states), d))
+    for j, (state, rng) in enumerate(zip(states, rngs)):
+        means[j] = params.policy.forward(np.array([[state]], dtype=float))[0]
+        rng.standard_normal(out=noise[j])
+    actions = means + np.exp(params.log_std) * noise
+    return GaussianActions(actions=actions,
+                           log_probs=gaussian_log_prob(actions, means, params.log_std),
+                           clipped=np.clip(actions, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

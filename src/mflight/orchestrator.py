@@ -86,6 +86,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        # numpy seeds its generators from non-negative integers only
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.episodes_per_update < 1:
@@ -151,32 +154,45 @@ def normalize_state(re_c: float, ref: tuple[float, float]) -> float:
     return (re_c - mu_ref) / sigma_ref
 
 
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer; 0 is one zero word."""
+    if 0 <= n <= 0xFFFFFFFF:
+        return [n]
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [(n >> shift) & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
 def episode_rng(seed: int, phase: str, episode_index: int) -> np.random.Generator:
-    """Private RNG stream for one episode, independent of worker layout."""
-    return np.random.default_rng([seed, PHASE_IDS[phase], episode_index])
+    """Private RNG stream for one episode, independent of worker layout.
+
+    The stream is ``np.random.default_rng([seed, phase id, episode_index])``;
+    the words numpy derives from that list are handed over as one uint32 array.
+    """
+    words = _uint32_words(seed) + [PHASE_IDS[phase]] + _uint32_words(episode_index)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
                   cfg: RunConfig, round_index: int) -> list[EpisodeRecord]:
     """One pooled round of T_L episodes, in global episode order.
 
-    Each episode draws its state and acts from its own RNG stream; the
-    environment then builds and prices the T_L designs as one stack.
+    Each episode draws its state and then its action from its own RNG stream;
+    the environment then builds and prices the T_L designs as one stack.
     """
     t_l = cfg.episodes_per_update
     ref = cfg.resolve_state_ref()
-    drawn = []
-    for j in range(t_l):
-        rng = episode_rng(cfg.seed, phase.name, round_index * t_l + j)
-        re_c = sample_state(phase.dist, rng)
-        state = normalize_state(re_c, ref)
-        drawn.append((re_c, state, act(params, state, rng), value(params, state)))
-    designs = DesignVector(np.array([ga.clipped_action for _, _, ga, _ in drawn]))
-    outcomes = env.step_round(designs, [re_c for re_c, _, _, _ in drawn], cfg.penalty)
-    return [EpisodeRecord(state=state, action=ga.action, log_prob_old=ga.log_prob,
-                          reward=reward, value_old=v, re_c=re_c,
-                          worker=j // (t_l // cfg.workers), info=info)
-            for j, ((re_c, state, ga, v), (reward, info)) in enumerate(zip(drawn, outcomes))]
+    rngs = [episode_rng(cfg.seed, phase.name, round_index * t_l + j) for j in range(t_l)]
+    re_cs = [sample_state(phase.dist, rng) for rng in rngs]
+    states = [normalize_state(re_c, ref) for re_c in re_cs]
+    drawn = act(params, states, rngs)
+    values = [value(params, state) for state in states]
+    outcomes = env.step_round(DesignVector(drawn.clipped), re_cs, cfg.penalty)
+    per_worker = t_l // cfg.workers
+    return [EpisodeRecord(state=state, action=action, log_prob_old=log_prob, reward=reward,
+                          value_old=v, re_c=re_c, worker=j // per_worker, info=info)
+            for j, (state, action, log_prob, v, re_c, (reward, info)) in enumerate(
+                zip(states, drawn.actions, drawn.log_probs.tolist(), values, re_cs, outcomes))]
 
 
 @dataclass

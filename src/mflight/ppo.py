@@ -118,35 +118,44 @@ class UpdateStats:
     aborted: bool = False
 
 
-def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConfig):
+def policy_pass(batch: ExperienceBatch, params: PolicyParams):
+    """The policy's forward pass over a batch: (layer cache, means, log-probabilities)."""
+    cache: list = []
+    mean = params.policy.forward(batch.states, cache=cache)
+    return cache, mean, gaussian_log_prob(batch.actions, mean, params.log_std)
+
+
+def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConfig,
+                      grad: PolicyParams | None = None, forward=None):
     """Total loss, exact parameter gradients, and diagnostics for one batch.
 
     Advantages are consumed as stored; the update loop normalizes them once
-    per batch before the epochs run.
+    per batch before the epochs run. The gradient is written into ``grad``
+    (``params.views`` of a vector), or into a fresh vector when it is None.
+    ``forward`` is this batch's :func:`policy_pass` at the current parameters,
+    if the caller already ran it. Means are ``sum / b``, the bits of ``mean()``.
     """
     if len(batch) == 0:
         raise EmptyBatch("empty experience batch")
     b = len(batch)
-    d = params.action_dim
     eps = cfg.clip_epsilon
     adv = batch.advantages
 
-    pol_cache: list = []
-    mean = params.policy.forward(batch.states, cache=pol_cache)
+    pol_cache, mean, logp_new = policy_pass(batch, params) if forward is None else forward
     log_std = params.log_std
     std = np.exp(log_std)
-    logp_new = gaussian_log_prob(batch.actions, mean, log_std)
 
     ratio = prob_ratio(logp_new, batch.log_probs_old)
     surr_raw = ratio * adv
-    surr_clip = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
-    policy_loss = -np.minimum(surr_raw, surr_clip).mean()
+    surr_clip = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps) * adv
+    policy_loss = -(np.minimum(surr_raw, surr_clip).sum() / b)
 
     val_cache: list = []
     v = params.value.forward(batch.states, cache=val_cache)[:, 0]
-    value_loss = ((v - batch.returns) ** 2).mean()
+    err = v - batch.returns
+    value_loss = (err ** 2).sum() / b
 
-    entropy = float(log_std.sum() + 0.5 * d * (LOG_2PI + 1.0))
+    entropy = float(log_std.sum() + 0.5 * params.action_dim * (LOG_2PI + 1.0))
 
     loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy
 
@@ -156,40 +165,46 @@ def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConf
     dlogp = np.where(active, -ratio * adv / b, 0.0)           # d loss / d logp_new
     z = (batch.actions - mean) / std
     dmean = dlogp[:, None] * z / std                          # d logp/d mean = z/std
-    dlog_std = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0)   # d logp/d log_std
-    dlog_std -= cfg.entropy_coeff * np.ones(d)                # d entropy/d log_std = 1
 
-    dv = (2.0 * cfg.value_coeff / b) * (v - batch.returns)
-    grad = params.views(np.empty_like(params.flat))
+    if grad is None:
+        grad = params.views(np.empty_like(params.flat))
     params.policy.backward(pol_cache, dmean, grad.policy)
-    grad.log_std[...] = dlog_std
-    params.value.backward(val_cache, dv[:, None], grad.value)
+    # d logp/d log_std = z^2 - 1, and d entropy/d log_std = 1
+    (dlogp[:, None] * (z * z - 1.0)).sum(axis=0, out=grad.log_std)
+    grad.log_std -= cfg.entropy_coeff
+    params.value.backward(val_cache, ((2.0 * cfg.value_coeff / b) * err)[:, None], grad.value)
 
     stats = UpdateStats(
-        mean_ratio=float(ratio.mean()),
-        clip_fraction=float((np.abs(ratio - 1.0) > eps).mean()),
+        mean_ratio=float(ratio.sum() / b),
+        clip_fraction=float((np.abs(ratio - 1.0) > eps).sum() / b),
         policy_loss=float(policy_loss),
         value_loss=float(value_loss),
         entropy=entropy,
-        kl=float((batch.log_probs_old - logp_new).mean()),
+        kl=float((batch.log_probs_old - logp_new).sum() / b),
     )
     return float(loss), grad.flat, stats
 
 
-def clip_grad_norm(grad: np.ndarray, params: PolicyParams, max_norm: float) -> float:
+def clip_grad_norm(grad: np.ndarray, params: PolicyParams, max_norm: float,
+                   square: np.ndarray | None = None) -> float:
     """Scale ``grad`` (laid out like ``params.flat``) to norm at most ``max_norm``.
 
-    The squared norm is summed array by array in layout order: one sum over
-    the whole vector would round differently.
+    ``grad * grad`` goes into ``square`` (a fresh vector when None) and is summed
+    array by array in layout order: one sum over the whole vector would round
+    differently.
     """
-    total = np.sqrt(sum(float((g * g).sum()) for _, g in params.views(grad).tensors()))
+    square = np.multiply(grad, grad, out=square)
+    total = math.sqrt(sum(float(square[start:end].sum()) for _, start, end, _ in params.spans))
     if total > max_norm > 0.0:
         grad *= max_norm / total
-    return float(total)
+    return total
 
 
 class Adam:
-    """Adaptive-moment ascent on the negated loss (i.e. descent on loss)."""
+    """Adaptive-moment ascent on the negated loss (i.e. descent on loss).
+
+    A step runs in place on two scratch vectors the optimizer owns.
+    """
 
     def __init__(self, params: PolicyParams, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -197,20 +212,31 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        self._work = (np.empty_like(params.flat), np.empty_like(params.flat))
 
     def step(self, params: PolicyParams, grad: np.ndarray) -> None:
+        """m, v and the step of ``lr * (m/b1c) / (sqrt(v/b2c) + eps)``, operation by operation."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
+        step, denom = self._work
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=step)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        params.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+        np.multiply(grad, 1.0 - self.beta2, out=step)
+        step *= grad
+        self.v += step
+        np.divide(self.m, b1c, out=step)
+        step *= self.lr
+        np.divide(self.v, b2c, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        params.flat -= step
 
 
 class PpoTrainer:
-    """Owns the mutable parameters and optimizer state.
+    """Owns the mutable parameters, the optimizer state and the gradient buffers.
 
     :meth:`update` changes ``params`` in place, so a caller that needs the
     parameters as they were keeps a ``params.copy()``.
@@ -220,28 +246,36 @@ class PpoTrainer:
         self.params = params
         self.cfg = cfg
         self.opt = Adam(params, cfg.learning_rate)
+        self._grad = params.views(np.empty_like(params.flat))
+        self._grad_square = np.empty_like(params.flat)
 
     def update(self, batch: ExperienceBatch) -> UpdateStats:
-        """Run epochs of full-batch gradient steps; roll back on bad gradients."""
+        """Run epochs of full-batch gradient steps; roll back on bad gradients.
+
+        An epoch's KL check runs the policy pass that the next epoch's loss
+        needs, at the same parameters, so the loss takes it over.
+        """
         cfg = self.cfg
+        params = self.params
         batch = replace(batch, advantages=normalize_advantages(batch.advantages))
-        backup = (self.params.flat.copy(), self.opt.t, self.opt.m.copy(), self.opt.v.copy())
+        backup = (params.flat.copy(), self.opt.t, self.opt.m.copy(), self.opt.v.copy())
         epochs_run = 0
+        forward = None
         for _ in range(cfg.epochs_per_update):
-            loss, grad, stats = clipped_surrogate(batch, self.params, cfg)
+            loss, grad, stats = clipped_surrogate(batch, params, cfg, self._grad, forward)
             if not np.isfinite(loss) or not np.isfinite(grad).all():
                 log.warning("non-finite loss or gradient: restoring previous parameters")
                 return self._roll_back(backup, stats, epochs_run)
-            clip_grad_norm(grad, self.params, cfg.max_grad_norm)
-            self.opt.step(self.params, grad)
-            np.clip(self.params.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.params.log_std)
+            clip_grad_norm(grad, params, cfg.max_grad_norm, self._grad_square)
+            self.opt.step(params, grad)
+            np.maximum(params.log_std, LOG_STD_MIN, out=params.log_std)
+            np.minimum(params.log_std, LOG_STD_MAX, out=params.log_std)
             epochs_run += 1
-            if not self.params.all_finite():
+            if not params.all_finite():
                 log.warning("non-finite parameter after step: rolling back update")
                 return self._roll_back(backup, stats, epochs_run)
-            mean = self.params.policy.forward(batch.states)
-            logp = gaussian_log_prob(batch.actions, mean, self.params.log_std)
-            stats.kl = float((batch.log_probs_old - logp).mean())
+            forward = policy_pass(batch, params)
+            stats.kl = float((batch.log_probs_old - forward[2]).sum() / len(batch))
             if stats.kl > cfg.kl_stop:
                 break
         stats.epochs_run = epochs_run

@@ -13,7 +13,9 @@ the optimised kernels give bit-identical results.
 
 The PPO update is kept the same way: parameters as separate arrays, gradients
 in a dict keyed by array name, Adam's moments and step per array, and a
-rollback that swaps the backup parameters in for the live ones.
+rollback that swaps the backup parameters in for the live ones. So are the
+agent's single-state ``act`` and ``value``, which a training round now runs
+as one call over its stack of states.
 """
 
 import warnings
@@ -33,7 +35,14 @@ from mflight.boundary_layer import (
     squire_young_cd,
     thwaites_correlations,
 )
-from mflight.agent import LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, Mlp, gaussian_log_prob
+from mflight.agent import (
+    LOG_2PI,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    Mlp,
+    forward_policy,
+    gaussian_log_prob,
+)
 from mflight.ctl import VARIANCE_FLOOR, window_statistic
 from mflight.errors import ConfigError, SolverError
 from mflight.geometry import AirfoilShape, _surface_basis, check_n_points
@@ -375,6 +384,29 @@ def variance_ratios_reference(rewards, k: int) -> list[float]:
             beta = 0.0 if xi_max <= VARIANCE_FLOOR else xi / xi_max
         betas.append(beta)
     return betas
+
+
+@dataclass
+class GaussianAction:
+    """A sampled action with its pre-clip log-probability."""
+
+    action: np.ndarray
+    log_prob: float
+    clipped_action: np.ndarray
+
+
+def act_reference(params, state: float, rng: np.random.Generator) -> GaussianAction:
+    """Sample a ~ N(mean(s), diag(std^2)); clip only for the environment."""
+    mean, std = forward_policy(params, float(state))
+    a = mean + std * rng.standard_normal(params.action_dim)
+    log_prob = float(gaussian_log_prob(a[None, :], mean[None, :], params.log_std)[0])
+    return GaussianAction(action=a, log_prob=log_prob, clipped_action=np.clip(a, -1.0, 1.0))
+
+
+def value_reference(params, state: float) -> float:
+    """Scalar state-value estimate V(s) of one state."""
+    v = params.value.forward(np.atleast_1d(np.asarray(state, dtype=float)).reshape(-1, 1))[:, 0]
+    return float(v[0])
 
 
 def mlp_backward_reference(mlp: Mlp, cache: list, grad_out: np.ndarray):

@@ -2,11 +2,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mflight import agent
 from mflight.agent import (
-    GaussianAction,
+    GaussianActions,
     act,
     forward_policy,
     gaussian_log_prob,
@@ -22,6 +24,7 @@ from mflight.errors import CheckpointError
 from mflight.ppo import normalize_advantages
 
 from conftest import fd_gradient, max_rel_error
+from reference_kernels import act_reference, value_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -69,35 +72,55 @@ class TestAct:
         p = init_params(np.random.default_rng(5))
         p.log_std[:] = np.log(1e-9)
         mean, _ = forward_policy(p, 0.5)
-        ga = act(p, 0.5, np.random.default_rng(0))
-        assert np.abs(ga.action - mean).max() < 1e-6
+        drawn = act(p, [0.5], [np.random.default_rng(0)])
+        assert np.abs(drawn.actions[0] - mean).max() < 1e-6
 
     def test_log_prob_matches_density_oracle(self):
         # independent diagonal-Gaussian log-density
         p = init_params(np.random.default_rng(6))
         rng = np.random.default_rng(1)
         for _ in range(20):
-            ga = act(p, 0.7, rng)
+            drawn = act(p, [0.7], [rng])
             mean, std = forward_policy(p, 0.7)
             oracle = float(np.sum(
-                -0.5 * ((ga.action - mean) / std) ** 2
+                -0.5 * ((drawn.actions[0] - mean) / std) ** 2
                 - np.log(std) - 0.5 * np.log(2 * np.pi)))
-            assert ga.log_prob == pytest.approx(oracle, abs=1e-10)
+            assert drawn.log_probs[0] == pytest.approx(oracle, abs=1e-10)
 
     def test_seeded_reproducibility(self):
         p = init_params(np.random.default_rng(7))
-        a = act(p, 0.1, np.random.default_rng(99))
-        b = act(p, 0.1, np.random.default_rng(99))
-        assert_allclose(a.action, b.action, rtol=0, atol=0)
-        assert a.log_prob == b.log_prob
+        a = act(p, [0.1], [np.random.default_rng(99)])
+        b = act(p, [0.1], [np.random.default_rng(99)])
+        assert_allclose(a.actions, b.actions, rtol=0, atol=0)
+        assert a.log_probs.tobytes() == b.log_probs.tobytes()
 
     def test_clipping(self):
         p = init_params(np.random.default_rng(8))
         p.log_std[:] = np.log(5.0)
         rng = np.random.default_rng(2)
-        ga = act(p, 0.0, rng)
-        assert isinstance(ga, GaussianAction)
-        assert np.abs(ga.clipped_action).max() <= 1.0
+        drawn = act(p, [0.0], [rng])
+        assert isinstance(drawn, GaussianActions)
+        assert np.abs(drawn.clipped).max() <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           hidden=st.lists(st.integers(1, 24), min_size=1, max_size=3).map(tuple),
+           action_dim=st.integers(1, 13),
+           rows=st.sampled_from([1, 3, 20]),
+           log_std=st.floats(-2.0, 1.0))
+    def test_round_equals_the_single_state_oracle(self, seed, hidden, action_dim, rows, log_std):
+        rng = np.random.default_rng(seed)
+        p = init_params(rng, action_dim=action_dim, hidden=hidden, log_std_init=log_std)
+        p.flat += 0.3 * rng.standard_normal(p.flat.size)
+        states = (3.0 * rng.standard_normal(rows)).tolist()
+        drawn = act(p, states, [np.random.default_rng([seed, j]) for j in range(rows)])
+        assert drawn.actions.shape == drawn.clipped.shape == (rows, action_dim)
+        for j, state in enumerate(states):
+            ga = act_reference(p, state, np.random.default_rng([seed, j]))
+            assert drawn.actions[j].tobytes() == ga.action.tobytes(), j
+            assert drawn.clipped[j].tobytes() == ga.clipped_action.tobytes(), j
+            assert repr(drawn.log_probs.tolist()[j]) == repr(ga.log_prob), j
+            assert repr(value(p, state)) == repr(value_reference(p, state)), j
 
     def test_log_prob_marginal_integrates_to_one(self):
         p = init_params(np.random.default_rng(9), action_dim=1, hidden=(8,))

@@ -115,6 +115,7 @@ class TestTrain:
         ["ppo.epochs_per_update=0"],
         ["target.max_episodes=40.5"],
         ["seed=true"],
+        ["seed=-5"],
         ["workers=true"],
         ["ppo.learning_rate=true"],
         ["ppo.kl_stop=false"],
@@ -146,6 +147,25 @@ class TestTrain:
         assert cli.main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_2_before_any_compute(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out), "--seed", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -5\n"
+        assert not out.exists()
+
+    def test_seed_beyond_32_bits_trains(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        runs = []
+        for seed in (2**32, 2**64 + 3):
+            out = tmp_path / f"o{seed}"
+            assert cli.main(["train", "--config", str(cfg), "--out", str(out),
+                             "--seed", str(seed)]) == 0
+            assert f"seed: {seed}" in (out / "summary.txt").read_text()
+            runs.append((out / "episodes.csv").read_bytes())
+        assert runs[0] != runs[1]
 
     def test_mean_airfoils_are_built_not_priced(self, tmp_path, monkeypatch):
         calls = []
@@ -246,6 +266,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "episodes must be >= 0" in err
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ev").exists()
+
+    def test_negative_seed_exits_2_before_any_compute(self, tmp_path, capsys, monkeypatch):
+        def must_not_load(path):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_load)
+        doc = json.loads((BENCH / "configs" / "hifi_evaluate.json").read_text())
+        doc["seed"] = -3
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        code = cli.main(["evaluate", "--checkpoint", str(BENCH / "eval.ckpt"),
+                         "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
         assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("key, value", [("episodes", "x"), ("mu", "abc"), ("sigma", "abc")])

@@ -95,6 +95,18 @@ class TestValidation:
         cfg = config_mod.build_run_config(doc)
         assert cfg.ppo.kl_stop == cfg.ppo.max_grad_norm == math.inf
 
+    @pytest.mark.parametrize("seed", [-1, -2**40])
+    def test_negative_seed_rejected(self, seed):
+        doc = config_mod.validate_document(minimal_doc())
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            config_mod.build_run_config(config_mod.apply_overrides(doc, [f"seed={seed}"]))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70])
+    def test_large_seeds_accepted(self, seed):
+        doc = config_mod.validate_document(minimal_doc())
+        cfg = config_mod.build_run_config(config_mod.apply_overrides(doc, [f"seed={seed}"]))
+        assert cfg.seed == seed
+
     def test_state_reference_needs_both_fields(self):
         doc = minimal_doc()
         doc["state_reference"] = {"mu": 5.5e6}

@@ -152,10 +152,10 @@ class TestTransfer:
     def test_copy_acts_identically(self):
         params = init_params(np.random.default_rng(7))
         copy = transfer(params)
-        a = agent.act(params, 0.4, np.random.default_rng(11))
-        b = agent.act(copy, 0.4, np.random.default_rng(11))
-        assert_allclose(a.action, b.action, rtol=0, atol=0)
-        assert a.log_prob == b.log_prob
+        a = agent.act(params, [0.4], [np.random.default_rng(11)])
+        b = agent.act(copy, [0.4], [np.random.default_rng(11)])
+        assert_allclose(a.actions, b.actions, rtol=0, atol=0)
+        assert a.log_probs.tobytes() == b.log_probs.tobytes()
 
     def test_mutating_copy_leaves_source_unchanged(self):
         params = init_params(np.random.default_rng(8))

@@ -531,6 +531,20 @@ class TestPpoUpdate:
         run_update_oracle(seed, hidden, action_dim, sizes, lr, max_grad_norm, kl_stop, epochs,
                           nan_at, overflow_at)
 
+    @pytest.mark.parametrize("kl_stop", [0.05, math.inf])
+    @pytest.mark.parametrize("nan_at, overflow_at", [(-1, -1), (0, -1), (-1, 0)],
+                             ids=["equal_sizes", "after_nan_rollback", "after_step_rollback"])
+    def test_next_update_after_equal_size_batches_and_rollbacks(self, nan_at, overflow_at,
+                                                                 kl_stop):
+        # the trainer's buffers and the policy pass the KL check hands on must
+        # never carry one update's values into the next
+        history, _ = run_update_oracle(31, (16, 12), 13, [20, 20, 20], lr=1e-3,
+                                       max_grad_norm=0.5, kl_stop=kl_stop, epochs=10,
+                                       nan_at=nan_at, overflow_at=overflow_at)
+        aborted = [s.aborted for s in history]
+        assert aborted == [k == max(nan_at, overflow_at) for k in range(3)]
+        assert max(s.epochs_run for s in history[1:]) == 10
+
     def test_seeded_sweep_sees_clipping_kl_stop_and_both_rollbacks(self):
         seen = {"clipped": 0, "kl_stop": 0, "nan_rollback": 0, "step_rollback": 0}
         for seed in range(12):

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mflight import agent
@@ -10,6 +12,7 @@ from mflight.agent import load_checkpoint
 from mflight.errors import ConfigError, RunError, SchemaError, SolverError
 from mflight.geometry import DesignVector
 from mflight.orchestrator import (
+    PHASE_IDS,
     PhaseSpec,
     RunConfig,
     collect_round,
@@ -29,6 +32,7 @@ from mflight.orchestrator import (
 from mflight.ppo import PpoConfig, PpoTrainer
 
 from conftest import experiment_bounds, experiment_config
+from reference_kernels import act_reference, value_reference
 
 
 def small_cfg(mode="scratch", seed=0, workers=4, t_l=20, budget=60, **kw):
@@ -93,29 +97,40 @@ class TestCollectRound:
                 assert a.log_prob_old == b.log_prob_old
                 assert_allclose(a.action, b.action, rtol=0, atol=0)
 
-    @pytest.mark.parametrize("fidelity", ["low", "high"])
-    def test_stacked_round_equals_episode_by_episode_steps(self, fidelity):
-        cfg = small_cfg(workers=1)
-        cfg.validate()
-        params = agent.init_params(np.random.default_rng(3))
-        env = make_environment(fidelity, bounds=cfg.bounds)
-        records = collect_round(cfg.target, env, params, cfg, 2)
-        one_env = make_environment(fidelity, bounds=cfg.bounds)
-        ref = cfg.resolve_state_ref()
-        t_l = cfg.episodes_per_update
-        for j, rec in enumerate(records):
-            rng = episode_rng(cfg.seed, "target", 2 * t_l + j)
-            re_c = sample_state(cfg.target.dist, rng)
-            state = normalize_state(re_c, ref)
-            ga = agent.act(params, state, rng)
-            ((reward, info),) = one_env.step_round(DesignVector(ga.clipped_action), [re_c],
-                                                   cfg.penalty)
-            assert repr((rec.re_c, rec.state, rec.reward, rec.info)) \
-                == repr((re_c, state, reward, info)), j
-            assert repr((rec.log_prob_old, rec.value_old)) \
-                == repr((ga.log_prob, agent.value(params, state))), j
-            assert rec.action.tobytes() == ga.action.tobytes(), j
-        assert env.eval_count == one_env.eval_count == t_l
+    @pytest.mark.parametrize("fidelity, examples", [("low", 40), ("high", 4)],
+                             ids=["low", "high"])
+    def test_stacked_round_equals_episode_by_episode_steps(self, fidelity, examples):
+        """Every record of a stacked round equals the single-state oracle's episode."""
+        @settings(max_examples=examples, deadline=None)
+        @given(seed=st.integers(0, 2**40), round_index=st.integers(0, 5),
+               t_l=st.sampled_from([1, 3, 20]),
+               hidden=st.lists(st.integers(1, 24), min_size=1, max_size=3).map(tuple),
+               log_std=st.floats(-2.0, 1.0))
+        def check(seed, round_index, t_l, hidden, log_std):
+            cfg = small_cfg(seed=seed, workers=1, t_l=t_l, budget=t_l)
+            cfg.validate()
+            rng = np.random.default_rng(seed)
+            params = agent.init_params(rng, action_dim=13, hidden=hidden, log_std_init=log_std)
+            params.flat += 0.3 * rng.standard_normal(params.flat.size)
+            env = make_environment(fidelity, bounds=cfg.bounds)
+            records = collect_round(cfg.target, env, params, cfg, round_index)
+            one_env = make_environment(fidelity, bounds=cfg.bounds)
+            ref = cfg.resolve_state_ref()
+            for j, rec in enumerate(records):
+                rng = np.random.default_rng([seed, 1, round_index * t_l + j])  # target phase
+                re_c = sample_state(cfg.target.dist, rng)
+                state = normalize_state(re_c, ref)
+                ga = act_reference(params, state, rng)
+                ((reward, info),) = one_env.step_round(DesignVector(ga.clipped_action), [re_c],
+                                                       cfg.penalty)
+                assert repr((rec.re_c, rec.state, rec.reward, rec.info)) \
+                    == repr((re_c, state, reward, info)), j
+                assert repr((rec.log_prob_old, rec.value_old)) \
+                    == repr((ga.log_prob, value_reference(params, state))), j
+                assert rec.action.tobytes() == ga.action.tobytes(), j
+            assert len(records) == env.eval_count == one_env.eval_count == t_l
+
+        check()
 
     def test_starts_no_threads(self, monkeypatch):
         def refuse(thread):
@@ -129,6 +144,25 @@ class TestCollectRound:
                                 cfg, 0)
         assert len(records) == 20
         assert env.eval_count == 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**70), phase=st.sampled_from(["source", "target", "eval"]),
+           index=st.integers(0, 2**40))
+    @example(seed=0, phase="source", index=0)
+    @example(seed=2**32, phase="target", index=2**32)
+    @example(seed=2**64, phase="eval", index=2**32 - 1)
+    @example(seed=2**32 - 1, phase="source", index=7)
+    def test_rng_stream_is_the_list_seeded_stream(self, seed, phase, index):
+        expected = np.random.default_rng([seed, PHASE_IDS[phase], index])
+        got = episode_rng(seed, phase, index)
+        assert got.bit_generator.state == expected.bit_generator.state
+        assert got.random(3).tobytes() == expected.random(3).tobytes()
+
+    def test_negative_seed_raises_like_numpy(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.default_rng([-5, 0, 0])
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            episode_rng(-5, "source", 0)
 
     def test_rng_streams_are_worker_layout_independent(self):
         a = episode_rng(0, "source", 7).random(4)

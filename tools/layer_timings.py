@@ -1,4 +1,5 @@
-"""Print best-of-7 per-call times of the layers, a priced round, a PPO update and the import.
+"""Print best-of-7 per-call times of the layers, a priced round, the agent, a PPO update,
+a controller update and the import.
 
     python3 tools/layer_timings.py
 
@@ -14,10 +15,16 @@ Times, with fixed seeds and one BLAS thread:
 - ``Environment.step_round`` on one fixed round of 20 designs at each
   fidelity (62 and 202 points), in the same box and drawn the same way, at
   Reynolds numbers drawn uniformly from [5e6, 9e6];
+- ``agent.act`` on one fixed round of 20 standard-normal states, each with
+  its own episode generator, and ``agent.value`` on one state, with the policy in
+  bench/eval.ckpt (13 actions, hidden (64, 64));
 - one PPO update of 10 epochs on a batch of 20 episodes. It starts from the
-  policy in bench/eval.ckpt (13 actions, hidden (64, 64)) and has no KL stop;
+  same policy and has no KL stop;
+- ``TransferController.update`` at window k = 200, on a controller that has
+  already seen 400 rewards drawn uniformly from [-0.1, 0];
 - ``import mflight.cli`` in a fresh interpreter started with ``subprocess``:
-  the import's wall time and the child's peak resident memory (``ru_maxrss``).
+  the import's wall time and the child's peak resident memory (``VmHWM``
+  on Linux, else ``ru_maxrss``).
 
 Each line is the best of 7 repetitions; a repetition averages enough
 calls to last about 0.05 s, short enough that on a shared host some
@@ -30,6 +37,7 @@ mflight package of the checkout it lives in.
 
 from __future__ import annotations
 
+import copy
 import importlib.metadata
 import math
 import os
@@ -46,8 +54,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from mflight import boundary_layer, config  # noqa: E402
 from mflight.aeroenv import make_environment  # noqa: E402
-from mflight.agent import forward_policy, gaussian_log_prob, load_checkpoint, value  # noqa: E402
+from mflight.agent import act, forward_policy, gaussian_log_prob, load_checkpoint, value  # noqa: E402
+from mflight.ctl import TransferController  # noqa: E402
 from mflight.geometry import build_airfoil, decode  # noqa: E402
+from mflight.orchestrator import episode_rng  # noqa: E402
 from mflight.panel import PanelWorkspace, solve_panel  # noqa: E402
 from mflight.ppo import EpisodeRecord, ExperienceBatch, PpoConfig, PpoTrainer  # noqa: E402
 
@@ -117,12 +127,20 @@ def panel_and_march_timings():
     yield f"march_surface upper stations={len(s):<3d} Re=5.5e6", seconds
 
 
-# the import's wall time and the peak resident memory, in a fresh interpreter
+# the import's wall time and the peak resident memory, in a fresh interpreter. On
+# Linux, ru_maxrss also counts the peak of the process that started the child
+# (exec records the old address space's peak), so VmHWM is read where it exists.
 IMPORT_CLI = """
 import resource, time
 t0 = time.perf_counter()
 import mflight.cli
-print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+wall = time.perf_counter() - t0
+try:
+    with open("/proc/self/status") as fh:
+        kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(wall, kb)
 """
 
 
@@ -144,6 +162,17 @@ def step_round_timings():
         env = make_environment(fidelity, bounds=bounds)
         seconds = best_of(lambda n: [designs] * n, lambda d: env.step_round(d, re_cs))
         yield f"step_round B=20 fidelity={fidelity:<4s} n_points={env.n_points:<3d}", seconds
+
+
+def agent_timings():
+    params, _ = load_checkpoint(CHECKPOINT)
+    rnd = random.Random(2024)
+    states = [rnd.gauss(0.0, 1.0) for _ in range(20)]
+    rngs = [episode_rng(2024, "source", j) for j in range(20)]
+    seconds = best_of(lambda n: [states] * n, lambda s: act(params, s, rngs))
+    yield f"act B={len(states)} (one round)", seconds
+    seconds = best_of(lambda n: states[:1] * n, lambda s: value(params, s))
+    yield "value (one state)", seconds
 
 
 def ppo_batch(params, size: int, seed: int) -> ExperienceBatch:
@@ -174,12 +203,28 @@ def ppo_timing():
     yield f"ppo_update epochs={epochs} batch={len(batch)} policy={sizes}", seconds
 
 
+def controller_timing():
+    rnd = random.Random(2024)
+    primed = TransferController(k=200)
+    for _ in range(400):
+        primed.update(rnd.uniform(-0.1, 0.0))
+
+    def setup(n):
+        # a fresh copy per repetition, so the histories do not pile up
+        ctrl = copy.deepcopy(primed)
+        return [(ctrl, rnd.uniform(-0.1, 0.0)) for _ in range(n)]
+
+    seconds = best_of(setup, lambda call: call[0].update(call[1]))
+    yield f"TransferController.update k={primed.k}", seconds
+
+
 def main() -> int:
     print(f"# nproc={os.cpu_count()} python={platform.python_version()} "
           f"numpy={importlib.metadata.version('numpy')} "
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']} best of {REPS}")
     for label, seconds in (*build_timings(), *panel_and_march_timings(), *step_round_timings(),
-                           *ppo_timing(), *import_timing()):
+                           *agent_timings(), *ppo_timing(), *controller_timing(),
+                           *import_timing()):
         print(f"{label:<48s} {seconds * 1e3:8.3f} ms", flush=True)
     return 0
 
