@@ -205,6 +205,10 @@ def act(params: PolicyParams, states, rngs) -> GaussianActions:
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     """Write named float64 arrays; repr() gives shortest-round-trip decimals.
 
+    Each array is a line ``array <name> <dims>`` and then one value per line.
+    A scalar and an empty vector both have the dims ``0``; the scalar's value
+    line tells them apart.
+
     Written atomically: the file is complete or absent, never partial.
     """
     lines = [CKPT_HEADER]
@@ -237,15 +241,19 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"bad dimensions at line {i + 1} of {path}: {exc}") from exc
         if min(shape) < 0:
             raise CheckpointError(f"negative dimension at line {i + 1} of {path}")
-        count = 1 if shape == (0,) else math.prod(shape)
         i += 1
+        # dims "0" declare a scalar when its one value line follows, and an
+        # empty vector when the next declaration or the end of the file does
+        if shape == (0,) and i < len(lines) and not lines[i].startswith("array "):
+            shape = ()
+        count = math.prod(shape)
         if i + count > len(lines):
             raise CheckpointError(f"truncated checkpoint {path}")
         try:
             vals = np.array([float(v) for v in lines[i:i + count]], dtype=float)
         except ValueError as exc:
             raise CheckpointError(f"bad value in {path}: {exc}") from exc
-        arrays[name] = vals[0].reshape(()) if shape == (0,) else vals.reshape(shape)
+        arrays[name] = vals.reshape(shape)
         i += count
     return arrays
 

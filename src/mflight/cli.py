@@ -168,11 +168,13 @@ def cmd_compare(args) -> int:
         else:
             savings = repr(100.0 * (1.0 - eps / base_eps))
         tail = rewards[-int(summary.get("tail_episodes", 500) or 500):]
+        tail_mean = float(tail.mean()) if len(tail) else float("nan")
+        tail_var = float(tail.var()) if len(tail) else float("nan")
         lines.append(
             f"{os.path.basename(os.path.normpath(run_dir))},{summary['mode']},"
             f"{summary['target_fidelity']},{len(rewards)},"
             f"{'' if eps is None else eps},"
-            f"{float(tail.mean())!r},{float(tail.var())!r},{hifi_calls},{savings}"
+            f"{tail_mean!r},{tail_var!r},{hifi_calls},{savings}"
         )
     text = "\n".join(lines) + "\n"
     atomic_write(args.out, text)

@@ -30,7 +30,7 @@ from .agent import (
 from .errors import ConfigError, RunError, SchemaError, SolverError
 from .files import atomic_write
 from .geometry import AirfoilShape, DesignVector, GeometryBounds, check_n_points
-from .ppo import EpisodeRecord, ExperienceBatch, PpoConfig, PpoTrainer
+from .ppo import ExperienceBatch, PpoConfig, PpoTrainer
 
 log = logging.getLogger(__name__)
 
@@ -174,11 +174,13 @@ def episode_rng(seed: int, phase: str, episode_index: int) -> np.random.Generato
 
 
 def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
-                  cfg: RunConfig, round_index: int) -> list[EpisodeRecord]:
-    """One pooled round of T_L episodes, in global episode order.
+                  cfg: RunConfig, round_index: int) -> tuple[ExperienceBatch, list, list]:
+    """One pooled round of T_L episodes: its batch, Reynolds numbers and infos.
 
     Each episode draws its state and then its action from its own RNG stream;
-    the environment then builds and prices the T_L designs as one stack.
+    the environment then builds and prices the T_L designs as one stack. The
+    batch's rows, the Reynolds numbers and ``step_round``'s info dicts are in
+    global episode order.
     """
     t_l = cfg.episodes_per_update
     ref = cfg.resolve_state_ref()
@@ -186,13 +188,13 @@ def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
     re_cs = [sample_state(phase.dist, rng) for rng in rngs]
     states = [normalize_state(re_c, ref) for re_c in re_cs]
     drawn = act(params, states, rngs)
-    values = [value(params, state) for state in states]
+    values = np.array([value(params, state) for state in states])
     outcomes = env.step_round(DesignVector(drawn.clipped), re_cs, cfg.penalty)
-    per_worker = t_l // cfg.workers
-    return [EpisodeRecord(state=state, action=action, log_prob_old=log_prob, reward=reward,
-                          value_old=v, re_c=re_c, worker=j // per_worker, info=info)
-            for j, (state, action, log_prob, v, re_c, (reward, info)) in enumerate(
-                zip(states, drawn.actions, drawn.log_probs.tolist(), values, re_cs, outcomes))]
+    rewards = np.array([reward for reward, _ in outcomes])
+    batch = ExperienceBatch(states=np.array(states).reshape(t_l, 1), actions=drawn.actions,
+                            log_probs_old=drawn.log_probs, advantages=rewards - values,
+                            returns=rewards)
+    return batch, re_cs, [info for _, info in outcomes]
 
 
 @dataclass
@@ -237,9 +239,10 @@ def run_phase(phase: PhaseSpec, env: Environment, trainer: PpoTrainer,
     rows: list[LogRow] = []
     rewards: list[float] = []
     consecutive_aborts = 0
+    per_worker = t_l // cfg.workers
     for r in range(rounds):
-        records = collect_round(phase, env, trainer.params, cfg, r)
-        batch = ExperienceBatch.from_records(records)
+        batch, re_cs, _ = collect_round(phase, env, trainer.params, cfg, r)
+        round_rewards = batch.returns.tolist()
         stats = trainer.update(batch)
         if stats.aborted:
             consecutive_aborts += 1
@@ -247,13 +250,13 @@ def run_phase(phase: PhaseSpec, env: Environment, trainer: PpoTrainer,
                 raise RunError("three consecutive non-finite-gradient updates")
         else:
             consecutive_aborts = 0
-        for idx, rec in enumerate(records):
-            beta = controller.update(rec.reward) if controller is not None else None
-            rows.append(LogRow(episode=episode_offset + r * t_l + idx + 1,
+        for j, (re_c, reward) in enumerate(zip(re_cs, round_rewards)):
+            beta = controller.update(reward) if controller is not None else None
+            rows.append(LogRow(episode=episode_offset + r * t_l + j + 1,
                                phase=phase.name, fidelity=phase.fidelity,
-                               worker=rec.worker, re_c=rec.re_c, reward=rec.reward,
+                               worker=j // per_worker, re_c=re_c, reward=reward,
                                beta=beta, clip_fraction=stats.clip_fraction))
-            rewards.append(rec.reward)
+        rewards.extend(round_rewards)
         if controller is not None and controller.complete:
             log.info("%s phase complete at episode %d (beta <= %g)",
                      phase.name, controller.complete_episode, controller.gamma_cut)

@@ -121,24 +121,28 @@ class PanelWorkspace:
     no value carries over from one call to the next, and no array it
     returns is a view of the workspace. Reuse spares the page faults of
     fresh memory on every call. A workspace serves one solve at a time.
+    ``dot`` shares its storage with the influence matrix: it holds the dot
+    product, then beta, then the panel-frame vs, all of which are spent
+    before the matrix is assembled.
     """
 
     def __init__(self, n_panels: int):
         if n_panels < 40:
             raise ConfigError("panel count must be >= 40")
         self.n_panels = n_panels
-        # One block holds the five n x n buffers and, behind them, the storage
+        # One block holds the four n x n buffers and, behind them, the storage
         # of the Fortran-order influence matrix: (n+1)^2 with the Kutta row
-        # and column, of which the first n^2 serve without them. Allocated
-        # apart, arrays of this size can each get their own mapping and so
-        # the same offset within a page (always, under the CLI's heap
+        # and column, of which the first n^2 serve without them. ``dot`` is a
+        # C-order n x n view of the first n^2 values of that storage.
+        # Allocated apart, arrays of this size can each get their own mapping
+        # and so the same offset within a page (always, under the CLI's heap
         # setting); in one block their starts are n^2 * 8 bytes apart, and a
         # solve runs faster.
         nn = n_panels * n_panels
-        block = np.empty(5 * nn + (n_panels + 1) ** 2)
+        block = np.empty(4 * nn + (n_panels + 1) ** 2)
         self.dx, self.dy, self.xs, self.w, self.dot = (
             block[k * nn:(k + 1) * nn].reshape(n_panels, n_panels) for k in range(5))
-        self._matrix = block[5 * nn:]
+        self._matrix = block[4 * nn:]
 
     def influence_matrix(self, m: int) -> np.ndarray:
         """An m x m Fortran-order view of the matrix storage (m <= n + 1)."""
@@ -186,7 +190,8 @@ def solve_panel(points: np.ndarray, alpha: float = 0.0, kutta: bool = True,
     p0, length, cos_t, sin_t, mid = _panel_frames(points)
 
     # The n x n work runs in the five buffers of the workspace, written in
-    # place. Every element sees the IEEE operations
+    # place; the fifth (dot, beta, vs) is spent before the matrix is
+    # assembled into the same storage. Every element sees the IEEE operations
     # of the textbook assembly, reordered only where that is exact:
     # (-a)*b == -(a*b), (-p)+q == q-p, x**2 == x*x and (0.5*L)*c == L*(0.5*c).
     # midpoint i in the frame of panel j: xs = dx cos + dy sin, ys = dy cos - dx sin

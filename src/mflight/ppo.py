@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,42 +51,17 @@ class PpoConfig:
 
 
 @dataclass
-class EpisodeRecord:
-    """One episode's experience tuple; ``worker`` is its episodes.csv label."""
-
-    state: float          # normalized Reynolds number
-    action: np.ndarray    # pre-clip 13-vector sample
-    log_prob_old: float
-    reward: float
-    value_old: float
-    re_c: float = 0.0
-    worker: int = 0
-    info: dict = field(default_factory=dict)
-
-
-@dataclass
 class ExperienceBatch:
+    """One round of one-step episodes, row j being episode j of the round."""
+
     states: np.ndarray      # (B, 1)
-    actions: np.ndarray     # (B, D)
+    actions: np.ndarray     # (B, D) pre-clip samples
     log_probs_old: np.ndarray
     advantages: np.ndarray  # raw r - V, normalized at loss time
     returns: np.ndarray     # one-step episodes: the return is the reward
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    @classmethod
-    def from_records(cls, records: list[EpisodeRecord]) -> "ExperienceBatch":
-        if not records:
-            raise EmptyBatch("cannot assemble a batch from zero records")
-        rewards = np.array([r.reward for r in records])
-        return cls(
-            states=np.array([[r.state] for r in records]),
-            actions=np.vstack([r.action for r in records]),
-            log_probs_old=np.array([r.log_prob_old for r in records]),
-            advantages=rewards - np.array([r.value_old for r in records]),
-            returns=rewards,
-        )
 
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:

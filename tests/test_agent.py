@@ -14,6 +14,7 @@ from mflight.agent import (
     gaussian_log_prob,
     init_params,
     layout,
+    load_arrays,
     load_checkpoint,
     orthogonal,
     save_arrays,
@@ -285,6 +286,25 @@ class TestCheckpoint:
         save_arrays(tmp_path / "g.ckpt", arrays)
         with pytest.raises(CheckpointError, match=r"value.w0 is \(1, 3\), expected \(1, 5\)"):
             load_checkpoint(tmp_path / "g.ckpt")
+
+    @pytest.mark.parametrize("order", ["empty_first", "empty_last"])
+    def test_scalar_empty_and_filled_arrays_roundtrip(self, tmp_path, order):
+        arrays = {"s": np.array(-0.25), "e": np.zeros(0), "v": np.array([1.5, -0.0, 1e-300])}
+        names = ["e", "s", "v"] if order == "empty_first" else ["s", "v", "e"]
+        path = tmp_path / "a.ckpt"
+        save_arrays(path, {name: arrays[name] for name in names})
+        # the scalar and the filled vector keep the bytes they were always written with
+        text = path.read_text()
+        assert "array s 0\n-0.25\n" in text and "array v 3\n1.5\n-0.0\n1e-300\n" in text
+        assert "array e 0\n" in text
+        loaded = load_arrays(path)
+        assert list(loaded) == names
+        for name in names:
+            assert loaded[name].shape == arrays[name].shape, name
+            assert loaded[name].tobytes() == arrays[name].tobytes(), name
+        resaved = tmp_path / "b.ckpt"
+        save_arrays(resaved, loaded)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_truncated_values_rejected(self, tmp_path):
         path = tmp_path / "f.ckpt"

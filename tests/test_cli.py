@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,22 @@ class TestEvaluate:
         assert code == 4
         assert not eval_out.exists()
 
+    def test_checkpoints_of_a_zero_episode_source_phase_evaluate(self, tmp_path):
+        # the controller saw no reward, so both checkpoints hold an empty ctl.rewards
+        config = str(BENCH / "configs" / "lowfi_transfer.json")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", config, "--out", str(out), "--seed", "3",
+                         "--set", "source.max_episodes=0", "--set", "ctl.force_transfer=true",
+                         "--set", "target.max_episodes=20"]) == 0
+        for name in ("source_final", "target_final"):
+            checkpoint = out / f"checkpoint_{name}.ckpt"
+            _, extras = load_checkpoint(checkpoint)
+            assert extras["ctl.rewards"].shape == (0,)
+            assert extras["ctl.k"].shape == ()
+            code = cli.main(["evaluate", "--checkpoint", str(checkpoint), "--config", config,
+                             "--episodes", "5", "--out", str(tmp_path / f"ev_{name}")])
+            assert code == 0, name
+
     def test_checkpoint_one_value_short_exits_4(self, tmp_path, capsys):
         lines = (BENCH / "eval.ckpt").read_text().splitlines()
         short = tmp_path / "short.ckpt"
@@ -391,6 +408,19 @@ class TestCompare:
                          "--out", str(tmp_path / "t.csv")])
         assert code == 4
         assert "line 5" in capsys.readouterr().err
+
+    def test_zero_target_run_compares_without_warnings(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out),
+                         "--set", "target.max_episodes=0"]) == 0
+        table = tmp_path / "cmp.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["compare", str(out), str(out), "--out", str(table)])
+        assert code == 0
+        for line in table.read_text().splitlines()[2:]:
+            assert line.split(",")[3:7] == ["0", "", "nan", "nan"]
 
     def test_needs_two_dirs(self, tmp_path, scratch_run):
         _, out = scratch_run

@@ -74,9 +74,19 @@ class TestCollectRound:
         cfg.validate()
         env = make_environment("low", bounds=cfg.bounds)
         params = agent.init_params(np.random.default_rng(0))
-        records = collect_round(cfg.target, env, params, cfg, 0)
-        assert len(records) == 20
-        assert sorted({r.worker for r in records}) == [0, 1, 2, 3]
+        batch, re_cs, infos = collect_round(cfg.target, env, params, cfg, 0)
+        assert len(batch) == len(re_cs) == len(infos) == 20
+        assert batch.actions.shape == (20, 13)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 5])
+    def test_logged_worker_labels(self, workers):
+        cfg = small_cfg(workers=workers, t_l=20, budget=40)
+        cfg.validate()
+        env = make_environment("low", bounds=cfg.bounds)
+        trainer = PpoTrainer(agent.init_params(np.random.default_rng(0)), cfg.ppo)
+        from mflight.orchestrator import run_phase
+        rows = run_phase(cfg.target, env, trainer, None, cfg).rows
+        assert [row.worker for row in rows] == [j // (20 // workers) for j in range(20)] * 2
 
     @pytest.mark.parametrize("fidelity", ["low", "high"])
     def test_worker_count_is_pure_throughput(self, fidelity):
@@ -88,14 +98,13 @@ class TestCollectRound:
             cfg.validate()
             env = make_environment(fidelity, bounds=cfg.bounds)
             batches[workers] = collect_round(cfg.target, env, params, cfg, 0)
+        one, re_one, info_one = batches[1]
         for workers in (2, 4, 5):
-            labels = [rec.worker for rec in batches[workers]]
-            assert labels == [j // (20 // workers) for j in range(20)], workers
-            for a, b in zip(batches[1], batches[workers]):
-                assert a.re_c == b.re_c
-                assert a.reward == b.reward
-                assert a.log_prob_old == b.log_prob_old
-                assert_allclose(a.action, b.action, rtol=0, atol=0)
+            batch, re_cs, infos = batches[workers]
+            assert re_cs == re_one
+            assert repr(infos) == repr(info_one)
+            for name in ("states", "actions", "log_probs_old", "advantages", "returns"):
+                assert getattr(batch, name).tobytes() == getattr(one, name).tobytes(), name
 
     @pytest.mark.parametrize("fidelity, examples", [("low", 40), ("high", 4)],
                              ids=["low", "high"])
@@ -113,22 +122,25 @@ class TestCollectRound:
             params = agent.init_params(rng, action_dim=13, hidden=hidden, log_std_init=log_std)
             params.flat += 0.3 * rng.standard_normal(params.flat.size)
             env = make_environment(fidelity, bounds=cfg.bounds)
-            records = collect_round(cfg.target, env, params, cfg, round_index)
+            batch, re_cs, infos = collect_round(cfg.target, env, params, cfg, round_index)
             one_env = make_environment(fidelity, bounds=cfg.bounds)
             ref = cfg.resolve_state_ref()
-            for j, rec in enumerate(records):
+            for j in range(t_l):
                 rng = np.random.default_rng([seed, 1, round_index * t_l + j])  # target phase
                 re_c = sample_state(cfg.target.dist, rng)
                 state = normalize_state(re_c, ref)
                 ga = act_reference(params, state, rng)
                 ((reward, info),) = one_env.step_round(DesignVector(ga.clipped_action), [re_c],
                                                        cfg.penalty)
-                assert repr((rec.re_c, rec.state, rec.reward, rec.info)) \
-                    == repr((re_c, state, reward, info)), j
-                assert repr((rec.log_prob_old, rec.value_old)) \
-                    == repr((ga.log_prob, value_reference(params, state))), j
-                assert rec.action.tobytes() == ga.action.tobytes(), j
-            assert len(records) == env.eval_count == one_env.eval_count == t_l
+                got = (re_cs[j], float(batch.states[j, 0]), float(batch.returns[j]), infos[j])
+                assert repr(got) == repr((re_c, state, float(reward), info)), j
+                raw_advantage = float(reward) - value_reference(params, state)
+                assert repr((float(batch.log_probs_old[j]), float(batch.advantages[j]))) \
+                    == repr((ga.log_prob, raw_advantage)), j
+                assert batch.actions[j].tobytes() == ga.action.tobytes(), j
+            assert batch.states.shape == (t_l, 1)
+            assert len(batch) == len(re_cs) == len(infos) == env.eval_count \
+                == one_env.eval_count == t_l
 
         check()
 
@@ -140,9 +152,9 @@ class TestCollectRound:
         cfg = small_cfg(workers=4, t_l=20)
         cfg.validate()
         env = make_environment("low", bounds=cfg.bounds)
-        records = collect_round(cfg.target, env, agent.init_params(np.random.default_rng(0)),
-                                cfg, 0)
-        assert len(records) == 20
+        batch, _, _ = collect_round(cfg.target, env, agent.init_params(np.random.default_rng(0)),
+                                    cfg, 0)
+        assert len(batch) == 20
         assert env.eval_count == 20
 
     @settings(max_examples=300, deadline=None)

@@ -7,7 +7,6 @@ from mflight.agent import forward_policy, gaussian_log_prob, init_params
 from mflight.errors import EmptyBatch
 from mflight.ppo import (
     Adam,
-    EpisodeRecord,
     ExperienceBatch,
     PpoConfig,
     PpoTrainer,
@@ -125,8 +124,6 @@ class TestClippedSurrogate:
                                 returns=np.zeros(0))
         with pytest.raises(EmptyBatch):
             clipped_surrogate(batch, params, PpoConfig())
-        with pytest.raises(EmptyBatch):
-            ExperienceBatch.from_records([])
 
     def test_clipping_envelope(self):
         # samples pushed past the clip band with favorable advantage carry no

@@ -31,8 +31,8 @@ calls to last about 0.05 s, short enough that on a shared host some
 repetitions miss the other load. The import runs once per child, seven
 children. The times are for comparing two checkouts on one host: run the
 script in each and read the lines side by side.
-It is not a test and not a gate. It uses only the standard library and the
-mflight package of the checkout it lives in.
+It is not a test and not a gate. It uses only the standard library, numpy and
+the mflight package of the checkout it lives in.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import numpy as np  # noqa: E402
 from mflight import boundary_layer, config  # noqa: E402
 from mflight.aeroenv import make_environment  # noqa: E402
 from mflight.agent import act, forward_policy, gaussian_log_prob, load_checkpoint, value  # noqa: E402
@@ -59,7 +60,7 @@ from mflight.ctl import TransferController  # noqa: E402
 from mflight.geometry import build_airfoil, decode  # noqa: E402
 from mflight.orchestrator import episode_rng  # noqa: E402
 from mflight.panel import PanelWorkspace, solve_panel  # noqa: E402
-from mflight.ppo import EpisodeRecord, ExperienceBatch, PpoConfig, PpoTrainer  # noqa: E402
+from mflight.ppo import ExperienceBatch, PpoConfig, PpoTrainer  # noqa: E402
 
 CONFIG = os.path.join(ROOT, "bench", "configs", "lowfi_transfer.json")
 CHECKPOINT = os.path.join(ROOT, "bench", "eval.ckpt")
@@ -178,16 +179,20 @@ def agent_timings():
 def ppo_batch(params, size: int, seed: int) -> ExperienceBatch:
     """Episodes sampled from the policy at standard-normal states, rewards in [-0.1, 0]."""
     rnd = random.Random(seed)
-    records = []
+    states, actions, log_probs, rewards, values = [], [], [], [], []
     for _ in range(size):
         state = rnd.gauss(0.0, 1.0)
         mean, std = forward_policy(params, state)
         action = [m + s * rnd.gauss(0.0, 1.0) for m, s in zip(mean.tolist(), std.tolist())]
-        records.append(EpisodeRecord(
-            state=state, action=action,
-            log_prob_old=float(gaussian_log_prob(action, mean, params.log_std)[0]),
-            reward=rnd.uniform(-0.1, 0.0), value_old=value(params, state)))
-    return ExperienceBatch.from_records(records)
+        states.append([state])
+        actions.append(action)
+        log_probs.append(float(gaussian_log_prob(action, mean, params.log_std)[0]))
+        rewards.append(rnd.uniform(-0.1, 0.0))
+        values.append(value(params, state))
+    returns = np.array(rewards)
+    return ExperienceBatch(states=np.array(states), actions=np.array(actions),
+                           log_probs_old=np.array(log_probs),
+                           advantages=returns - np.array(values), returns=returns)
 
 
 def ppo_timing():
