@@ -98,11 +98,13 @@ def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0,
 
     The panel solve runs in ``work``, if given. converged is False when
     either surface's turbulent march separates ahead of 95% chord; the
-    coefficients are still reported.
+    coefficients are still reported. A one-station surface raises SolverError.
     """
     sol = solve_panel(shape.points, alpha=alpha, work=work)
     nu = 1.0 / re_c
     (s_lo, ue_lo, x_lo), (s_up, ue_up, x_up) = bl.split_surfaces(sol.x_mid, sol.y_mid, sol.vt)
+    if len(s_lo) < 2 or len(s_up) < 2:
+        raise SolverError("the stagnation point sits on a trailing-edge panel")
     lower = bl.march_surface(s_lo, ue_lo, x_lo, nu)
     upper = bl.march_surface(s_up, ue_up, x_up, nu)
     cd = lower.cd + upper.cd

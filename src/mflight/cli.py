@@ -11,12 +11,13 @@ import ctypes
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import config as config_mod
 from . import orchestrator as orch
-from .aeroenv import StateDistribution, write_cp_csv
+from .aeroenv import write_cp_csv
 from .agent import load_checkpoint
 from .errors import CheckpointError, ConfigError, MflightError, SchemaError
 from .files import atomic_write
@@ -30,7 +31,7 @@ EXIT_ABORTED = 3
 EXIT_VERSION = 4
 
 HISTOGRAM_SCHEMA = "# mflight-histogram v1"
-COMPARE_SCHEMA = "# mflight-compare v1"
+COMPARE_SCHEMA = "# mflight-compare v2"
 HISTOGRAM_BINS = 50
 
 
@@ -58,30 +59,11 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _eval_settings(doc: dict):
-    """Evaluation distribution and environment derived from a config document."""
-    ev = doc["evaluation"]
-    src = doc.get("source")
-    base = src if src is not None else doc["target"]
-    mu = ev["mu"] if ev["mu"] is not None else base["mu"]
-    sigma = ev["sigma"] if ev["sigma"] is not None else base["sigma"]
-    fidelity = ev["fidelity"] if ev["fidelity"] is not None else doc["target"]["fidelity"]
-    episodes = config_mod.as_int(ev["episodes"], "evaluation.episodes")
-    mu = config_mod.as_float(mu, "evaluation.mu")
-    sigma = config_mod.as_float(sigma, "evaluation.sigma")
-    if episodes < 0:
-        raise ConfigError(f"evaluation.episodes must be >= 0, got {episodes}")
-    return StateDistribution(mu, sigma), fidelity, episodes
-
-
 def cmd_train(args) -> int:
-    doc = config_mod.load_document(args.config)
-    if args.overrides:
-        doc = config_mod.apply_overrides(doc, args.overrides)
+    doc = config_mod.apply_overrides(config_mod.load_document(args.config), args.overrides)
     if args.seed is not None:
         doc["seed"] = int(args.seed)
     cfg = config_mod.build_run_config(doc)
-    _eval_settings(doc)  # only evaluate reads them, but a bad value is rejected before any run
 
     os.makedirs(args.out, exist_ok=True)
     report = orch.run_campaign(cfg, out_dir=args.out)
@@ -94,7 +76,7 @@ def cmd_train(args) -> int:
         if params is None:
             continue
         spec = cfg.source if phase == "source" else cfg.target
-        design = orch.greedy_designs(params, [spec.dist.mu], report.state_ref)
+        design = orch.greedy_designs(params, [spec.dist.mu], cfg.resolve_state_ref())
         (shape,) = cfg.environment(spec.fidelity).build_shapes(design)
         write_selig(shape, os.path.join(args.out, f"airfoil_{phase}_mean.dat"))
     log.info("campaign complete: %d episodes logged to %s", len(report.rows), args.out)
@@ -102,13 +84,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    doc = config_mod.load_document(args.config)
-    cfg = config_mod.build_run_config(doc)
-    dist, fidelity, episodes = _eval_settings(doc)
+    cfg = config_mod.build_run_config(config_mod.load_document(args.config))
     if args.episodes is not None:
-        if args.episodes < 0:
-            raise ConfigError(f"--episodes must be >= 0, got {args.episodes}")
-        episodes = args.episodes
+        cfg = replace(cfg, eval_episodes=args.episodes)
+    (dist, fidelity), episodes = cfg.evaluation(), cfg.eval_episodes
     params, _ = load_checkpoint(args.checkpoint)
     result = orch.evaluate_policy(params, dist, cfg.environment(fidelity), episodes, cfg.seed,
                                   cfg.resolve_state_ref(), cfg.penalty,
@@ -138,43 +117,47 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+# the summary.txt keys compare reads, with their types
+COMPARE_KEYS = (("mode", str), ("target_fidelity", str), ("threshold", float),
+                ("ctl_window", int), ("tail_episodes", int), ("env_calls_high", int))
+
+
 def _run_metrics(run_dir: str):
-    summary = orch.read_summary(os.path.join(run_dir, "summary.txt"))
+    """The summary fields compare reads, typed, and the run's target-phase rewards."""
+    path = os.path.join(run_dir, "summary.txt")
+    summary = orch.read_summary(path)
+    for key, kind in COMPARE_KEYS:
+        try:
+            summary[key] = kind(summary[key])
+        except KeyError:
+            raise SchemaError(f"{path}: summary has no {key}") from None
+        except ValueError:
+            raise SchemaError(f"{path}: summary {key} is not a number: {summary[key]!r}") from None
     rows = orch.read_episodes_csv(os.path.join(run_dir, "episodes.csv"))
-    target_rewards = np.array([r["reward"] for r in rows if r["phase"] == "target"])
-    hifi_calls = int(summary["env_calls_high"])
-    return summary, target_rewards, hifi_calls
+    return summary, np.array([r["reward"] for r in rows if r["phase"] == "target"])
 
 
 def cmd_compare(args) -> int:
     if len(args.run_dirs) < 2:
         raise ConfigError("compare needs at least two run directories")
     runs = [_run_metrics(d) for d in args.run_dirs]
-
-    base_summary, base_rewards, _ = runs[0]
-    threshold = float(base_summary["threshold"])
-    window = int(base_summary.get("ctl_window", 50))
+    threshold, window = runs[0][0]["threshold"], runs[0][0]["ctl_window"]
 
     lines = [COMPARE_SCHEMA,
              "run,mode,target_fidelity,target_episodes,episodes_to_threshold,"
-             "last500_mean,last500_var,hifi_calls,savings_pct"]
-    base_eps = None
-    for (summary, rewards, hifi_calls), run_dir in zip(runs, args.run_dirs):
+             "tail_mean,tail_var,hifi_calls,savings_pct"]
+    base_eps = orch.episodes_to_threshold(runs[0][1], threshold, window)
+    for (summary, rewards), run_dir in zip(runs, args.run_dirs):
         eps = orch.episodes_to_threshold(rewards, threshold, window)
-        if base_eps is None:
-            base_eps = eps
-        if eps is None or base_eps is None:
-            savings = ""
-        else:
-            savings = repr(100.0 * (1.0 - eps / base_eps))
-        tail = rewards[-int(summary.get("tail_episodes", 500) or 500):]
+        savings = "" if eps is None or base_eps is None else repr(100.0 * (1.0 - eps / base_eps))
+        tail = rewards[-summary["tail_episodes"]:]
         tail_mean = float(tail.mean()) if len(tail) else float("nan")
         tail_var = float(tail.var()) if len(tail) else float("nan")
         lines.append(
             f"{os.path.basename(os.path.normpath(run_dir))},{summary['mode']},"
             f"{summary['target_fidelity']},{len(rewards)},"
             f"{'' if eps is None else eps},"
-            f"{tail_mean!r},{tail_var!r},{hifi_calls},{savings}"
+            f"{tail_mean!r},{tail_var!r},{summary['env_calls_high']},{savings}"
         )
     text = "\n".join(lines) + "\n"
     atomic_write(args.out, text)

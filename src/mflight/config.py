@@ -251,7 +251,8 @@ def build_run_config(doc: dict) -> RunConfig:
         if not isinstance(force_transfer, bool):  # bool("False") would be True
             raise ConfigError(f"ctl.force_transfer must be true or false, got {force_transfer!r}")
         ppo_doc = doc["ppo"]
-        cfg = RunConfig(
+        ev = doc["evaluation"]
+        return RunConfig(
             mode=doc["mode"],
             source=_phase("source", doc.get("source")),
             target=_phase("target", doc["target"]),
@@ -273,14 +274,15 @@ def build_run_config(doc: dict) -> RunConfig:
             n_points_low=as_int(geo["n_points_low"], "geometry.n_points_low"),
             n_points_high=as_int(geo["n_points_high"], "geometry.n_points_high"),
             state_ref=state_ref,
-            threshold_fraction=as_float(doc["evaluation"]["threshold_fraction"],
-                                        "evaluation.threshold_fraction"),
-            tail_episodes=as_int(doc["evaluation"]["tail_episodes"], "evaluation.tail_episodes"),
+            threshold_fraction=as_float(ev["threshold_fraction"], "evaluation.threshold_fraction"),
+            tail_episodes=as_int(ev["tail_episodes"], "evaluation.tail_episodes"),
+            eval_episodes=as_int(ev["episodes"], "evaluation.episodes"),
+            eval_mu=None if ev["mu"] is None else as_float(ev["mu"], "evaluation.mu"),
+            eval_sigma=None if ev["sigma"] is None else as_float(ev["sigma"], "evaluation.sigma"),
+            eval_fidelity=ev["fidelity"],
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    cfg.validate()
-    return cfg
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ N_DESIGN_VARS = 13
 _UPPER = slice(0, 6)
 _LOWER = slice(6, 12)
 _RADIUS = 12
+_X = slice(0, 12, 2)   # the x of every control point
 
 
 def _default_lo() -> np.ndarray:
@@ -74,6 +75,9 @@ class GeometryBounds:
             raise ConfigError("geometry bounds require lo < hi per coordinate")
         if lo[_RADIUS] <= 0:
             raise ConfigError("leading-edge radius range must be positive")
+        # every decoded x lies in [lo, hi], so a box inside [0, 1] keeps ControlPolygon's check
+        if (lo[_X] < 0.0).any() or (hi[_X] > 1.0).any():
+            raise ConfigError("geometry bounds put control point x-coordinates outside [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,10 @@ class PhaseSpec:
             raise ConfigError("max_episodes must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One command's settings, checked whole at construction."""
+
     mode: str
     target: PhaseSpec
     source: PhaseSpec | None = None
@@ -82,8 +84,12 @@ class RunConfig:
     state_ref: tuple[float, float] | None = None
     threshold_fraction: float = 0.95
     tail_episodes: int = 500
+    eval_episodes: int = 1000
+    eval_mu: float | None = None       # None: the source (else target) mean
+    eval_sigma: float | None = None    # None: the source (else target) std
+    eval_fidelity: str | None = None   # None: the target fidelity
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         # numpy seeds its generators from non-negative integers only
@@ -132,13 +138,26 @@ class RunConfig:
                 raise ConfigError("state reference needs a finite mu and a finite sigma > 0")
         check_n_points(self.n_points_low, "n_points_low")
         check_n_points(self.n_points_high, "n_points_high")
+        if self.eval_episodes < 0:
+            raise ConfigError(f"evaluation.episodes must be >= 0, got {self.eval_episodes}")
+        if self.eval_fidelity not in (None, "low", "high"):
+            raise ConfigError(f"evaluation.fidelity must be low or high, got {self.eval_fidelity!r}")
+        self.evaluation()  # the distribution checks its own mu and sigma
 
     def resolve_state_ref(self) -> tuple[float, float]:
         """Normalization reference, pinned to the source distribution."""
         if self.state_ref is not None:
             return self.state_ref
-        dist = self.source.dist if self.source is not None else self.target.dist
+        dist = (self.source or self.target).dist
         return (dist.mu, dist.sigma)
+
+    def evaluation(self) -> tuple[StateDistribution, str]:
+        """Evaluation distribution and fidelity. An unset mu or sigma is the source's
+        (else the target's); an unset fidelity is the target's."""
+        base = (self.source or self.target).dist
+        return (StateDistribution(base.mu if self.eval_mu is None else self.eval_mu,
+                                  base.sigma if self.eval_sigma is None else self.eval_sigma),
+                self.eval_fidelity or self.target.fidelity)
 
     def environment(self, fidelity: str) -> Environment:
         """The environment of one fidelity tier, at that tier's surface resolution."""
@@ -295,31 +314,23 @@ def episodes_to_threshold(rewards: np.ndarray, threshold: float, k: int) -> int 
 
 @dataclass
 class CampaignReport:
-    mode: str
-    seed: int
-    state_ref: tuple[float, float]
+    cfg: RunConfig
     source: PhaseResult | None
     target: PhaseResult
     rows: list
     params: PolicyParams
     source_params: PolicyParams | None
-    controller: ctl_mod.TransferController | None
     env_counts: dict
     hifi_calls_during_source: int
     threshold: float
     episodes_to_threshold: int | None
     tail_mean: float
     tail_var: float
-    ctl_window: int = 50
-    tail_episodes: int = 500
     checkpoints: dict = field(default_factory=dict)
 
 
 def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
     """Execute one full campaign; optionally drop checkpoints into out_dir."""
-    cfg.validate()
-    state_ref = cfg.resolve_state_ref()
-
     init_rng = np.random.default_rng([cfg.seed, 9000])
     params = init_params(init_rng, state_dim=1, action_dim=13,
                          hidden=tuple(cfg.hidden), log_std_init=cfg.log_std_init)
@@ -367,10 +378,8 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
     tail_var = float(tail.var()) if len(tail) else float("nan")
     tm_final = float(trailing_mean(target_result.rewards, cfg.ctl_window)[-1]) \
         if target_result.episodes else float("nan")
-    threshold = threshold_value(tm_final, cfg.threshold_fraction) \
-        if target_result.episodes else float("nan")
-    eps_thr = episodes_to_threshold(target_result.rewards, threshold, cfg.ctl_window) \
-        if target_result.episodes else None
+    threshold = threshold_value(tm_final, cfg.threshold_fraction)   # NaN for no episodes
+    eps_thr = episodes_to_threshold(target_result.rewards, threshold, cfg.ctl_window)
 
     counts = {
         "source": source_env.eval_count if source_env is not None else 0,
@@ -381,15 +390,11 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
                     if e is not None and e.fidelity == "high"),
     }
 
-    return CampaignReport(mode=cfg.mode, seed=cfg.seed, state_ref=state_ref,
-                          source=source_result, target=target_result, rows=rows,
+    return CampaignReport(cfg=cfg, source=source_result, target=target_result, rows=rows,
                           params=trainer.params, source_params=source_params,
-                          controller=controller, env_counts=counts,
-                          hifi_calls_during_source=hifi_during_source,
+                          env_counts=counts, hifi_calls_during_source=hifi_during_source,
                           threshold=threshold, episodes_to_threshold=eps_thr,
-                          tail_mean=tail_mean, tail_var=tail_var,
-                          ctl_window=cfg.ctl_window, tail_episodes=cfg.tail_episodes,
-                          checkpoints=checkpoints)
+                          tail_mean=tail_mean, tail_var=tail_var, checkpoints=checkpoints)
 
 
 @dataclass
@@ -478,11 +483,13 @@ def read_episodes_csv(path):
 
 
 def summary_text(report: CampaignReport) -> str:
+    cfg = report.cfg
+    mu_ref, sigma_ref = cfg.resolve_state_ref()
     lines = [SUMMARY_SCHEMA,
-             f"mode: {report.mode}",
-             f"seed: {report.seed}",
-             f"state_ref_mu: {report.state_ref[0]!r}",
-             f"state_ref_sigma: {report.state_ref[1]!r}"]
+             f"mode: {cfg.mode}",
+             f"seed: {cfg.seed}",
+             f"state_ref_mu: {mu_ref!r}",
+             f"state_ref_sigma: {sigma_ref!r}"]
     if report.source is not None:
         lines += [f"source_fidelity: {report.source.fidelity}",
                   f"source_episodes: {report.source.episodes}",
@@ -490,8 +497,8 @@ def summary_text(report: CampaignReport) -> str:
                   f"ctl_complete_episode: {report.source.complete_episode}"]
     lines += [f"target_fidelity: {report.target.fidelity}",
               f"target_episodes: {report.target.episodes}",
-              f"ctl_window: {report.ctl_window}",
-              f"tail_episodes: {report.tail_episodes}",
+              f"ctl_window: {cfg.ctl_window}",
+              f"tail_episodes: {cfg.tail_episodes}",
               f"threshold: {report.threshold!r}",
               f"episodes_to_threshold: {report.episodes_to_threshold}",
               f"tail_mean: {report.tail_mean!r}",

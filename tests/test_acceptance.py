@@ -7,6 +7,7 @@ paired (scratch vs controlled-transfer) experiments once. Run with
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,9 +249,7 @@ def test_criterion_5_determinism(tmp_path):
     params = init_params(np.random.default_rng(0))
     batches = []
     for workers in (1, 4):
-        cfg = experiment_config("scratch", seed=77)
-        cfg.workers = workers
-        cfg.validate()
+        cfg = replace(experiment_config("scratch", seed=77), workers=workers)
         env = make_environment("low", bounds=cfg.bounds)
         batches.append(collect_round(cfg.target, env, params, cfg, 0))
     (one, re_one, _), (four, re_four, _) = batches

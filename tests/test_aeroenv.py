@@ -15,7 +15,7 @@ from mflight.aeroenv import (
     sample_state,
     write_cp_csv,
 )
-from mflight.errors import ConfigError
+from mflight.errors import ConfigError, SolverError
 from mflight.geometry import DesignVector, GeometryBounds, build_airfoil
 
 from conftest import experiment_bounds, symmetric_polygon
@@ -120,6 +120,22 @@ class TestHighFidelity:
     def test_cd_decreases_with_re(self, thick_shape_200):
         cds = [high_fidelity_cd(thick_shape_200, re).cd for re in (5e6, 7e6, 1e7)]
         assert cds[0] > cds[1] > cds[2]
+
+    def test_stagnation_on_a_trailing_edge_panel_is_a_solver_error(self):
+        # a valid default-box design whose last negative tangential velocity sits on
+        # panel n - 2, so the upper surface of the split has a single station
+        design = DesignVector([-0.7873615106521286, 0.11754816337225563, -0.13145771782340054,
+                               -1.0, 0.36730191602471457, -1.0, -0.9586809327444866,
+                               0.4403442193559862, 1.0, 0.4912869632740707,
+                               0.19965325875077478, 1.0, 0.45827472517633094])
+        env = make_environment("high")
+        (shape,) = env.build_shapes(design)
+        assert shape.valid
+        with pytest.raises(SolverError, match="trailing-edge panel"):
+            high_fidelity_cd(shape, 7830556.060164841)
+        ((reward, info),) = env.step_round(design, [7830556.060164841])
+        assert reward == DEFAULT_PENALTY
+        assert info["valid"] and not info["converged"]
 
 
 class TestEnvironmentStep:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflight import cli
+from mflight import cli, orchestrator
 from mflight.aeroenv import Environment
 from mflight.agent import load_checkpoint
 from mflight.errors import CheckpointError
@@ -107,6 +107,8 @@ class TestTrain:
         ["evaluation.episodes=-3"],
         ["evaluation.episodes=x"],
         ["evaluation.episodes=2.5"],
+        ["evaluation.fidelity=medium"],
+        ["evaluation.sigma=0"],
         ["episodes_per_update=20.9"],
         ["workers=2.5"],
         ["ctl.window=49.99"],
@@ -147,6 +149,21 @@ class TestTrain:
             args += ["--set", item]
         assert cli.main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x_lo", [-0.05, -0.01, -0.001])
+    def test_design_box_off_the_chord_exits_2_before_any_round(self, tmp_path, capsys,
+                                                               monkeypatch, x_lo):
+        def must_not_run(*args):
+            raise AssertionError("a round was collected")
+
+        monkeypatch.setattr(orchestrator, "collect_round", must_not_run)
+        doc = json.loads((BENCH / "configs" / "lowfi_transfer.json").read_text())
+        doc["geometry"]["bounds"]["lo"][0] = x_lo
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
+        assert "x-coordinates" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag_exits_2_before_any_compute(self, tmp_path, capsys):
@@ -299,7 +316,8 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
         assert not (tmp_path / "ev").exists()
 
-    @pytest.mark.parametrize("key, value", [("episodes", "x"), ("mu", "abc"), ("sigma", "abc")])
+    @pytest.mark.parametrize("key, value", [("episodes", "x"), ("mu", "abc"), ("sigma", "abc"),
+                                            ("fidelity", "medium")])
     def test_non_numeric_evaluation_value_exits_2(self, tmp_path, capsys, monkeypatch,
                                                   key, value):
         def must_not_load(path):
@@ -377,7 +395,9 @@ class TestCompare:
         code = cli.main(["compare", str(out), str(out), "--out", str(table)])
         assert code == 0
         lines = table.read_text().splitlines()
-        assert lines[0] == "# mflight-compare v1"
+        assert lines[0] == "# mflight-compare v2"
+        assert lines[1] == ("run,mode,target_fidelity,target_episodes,episodes_to_threshold,"
+                            "tail_mean,tail_var,hifi_calls,savings_pct")
         assert len(lines) == 4
         savings = lines[3].split(",")[-1]
         assert float(savings) == 0.0
@@ -408,6 +428,24 @@ class TestCompare:
                          "--out", str(tmp_path / "t.csv")])
         assert code == 4
         assert "line 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("", "summary has no env_calls_high"),
+        ("env_calls_high: x\n", "summary env_calls_high is not a number: 'x'"),
+    ], ids=["key missing", "value not a number"])
+    def test_malformed_summary_exits_4_naming_file_and_key(self, tmp_path, scratch_run,
+                                                           capsys, line, message):
+        _, out = scratch_run
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        text = (out / "summary.txt").read_text()
+        assert "\nenv_calls_high: 0\n" in text
+        (broken / "summary.txt").write_text(text.replace("env_calls_high: 0\n", line))
+        (broken / "episodes.csv").write_text((out / "episodes.csv").read_text())
+        code = cli.main(["compare", str(out), str(broken), "--out", str(tmp_path / "t.csv")])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {broken / 'summary.txt'}: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_zero_target_run_compares_without_warnings(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from mflight import config as config_mod
+from mflight.aeroenv import StateDistribution
 from mflight.errors import ConfigError
 from mflight.geometry import GeometryBounds
+from mflight.orchestrator import PhaseSpec, RunConfig
+from mflight.ppo import PpoConfig
 
 
 def minimal_doc(**target_overrides):
@@ -56,6 +60,42 @@ class TestValidation:
         assert cfg.ppo.learning_rate == 3e-4
         assert cfg.hidden == (64, 64)
 
+    def test_documented_defaults_are_the_run_config_defaults(self):
+        cfg = config_mod.build_run_config(config_mod.validate_document(minimal_doc()))
+        target = PhaseSpec(name="target", fidelity="low", dist=StateDistribution(5.5e6, 5e5),
+                           max_episodes=40)
+        plain = RunConfig(mode="scratch", target=target)
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert {"eval_episodes", "eval_mu", "eval_sigma", "eval_fidelity"} <= set(names)
+        for name in names:
+            got, want = getattr(cfg, name), getattr(plain, name)
+            if name == "bounds":
+                assert got.lo.tobytes() == want.lo.tobytes()
+                assert got.hi.tobytes() == want.hi.tobytes()
+            else:
+                assert got == want and type(got) is type(want), name
+        assert cfg.ppo == PpoConfig()
+
+    def test_evaluation_falls_back_to_source_then_target(self):
+        doc = minimal_doc()
+        cfg = config_mod.build_run_config(config_mod.validate_document(doc))
+        assert cfg.evaluation() == (StateDistribution(5.5e6, 5e5), "low")
+        doc.update(mode="single_fidelity_ctl",
+                   source={"fidelity": "low", "mu": 4e6, "sigma": 3e5, "max_episodes": 20},
+                   target={"fidelity": "high", "mu": 8e6, "sigma": 5e5, "max_episodes": 20},
+                   evaluation={"mu": 7e6, "episodes": 0})
+        cfg = config_mod.build_run_config(config_mod.validate_document(doc))
+        assert cfg.evaluation() == (StateDistribution(7e6, 3e5), "high")
+        assert cfg.eval_episodes == 0
+
+    def test_run_config_is_frozen_and_replace_checks_again(self):
+        cfg = config_mod.build_run_config(config_mod.validate_document(minimal_doc()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+        assert dataclasses.replace(cfg, eval_episodes=5).eval_episodes == 5
+        with pytest.raises(ConfigError, match="workers"):
+            dataclasses.replace(cfg, workers=3)
+
     def test_build_rejects_bad_budget(self):
         doc = config_mod.validate_document(minimal_doc(max_episodes=30))
         with pytest.raises(ConfigError):
@@ -75,6 +115,15 @@ class TestValidation:
         doc["geometry"] = {"bounds": {"lo": lo, "hi": hi}}
         cfg = config_mod.build_run_config(config_mod.validate_document(doc))
         assert cfg.bounds.lo[12] == 0.002
+
+    @pytest.mark.parametrize("index, value", [(0, -0.05), (4, -0.001), (10, 1.0001)])
+    def test_bounds_with_an_x_outside_the_chord_rejected(self, index, value):
+        lo, hi = GeometryBounds().lo.tolist(), GeometryBounds().hi.tolist()
+        (lo if value < 0 else hi)[index] = value
+        doc = minimal_doc()
+        doc["geometry"] = {"bounds": {"lo": lo, "hi": hi}}
+        with pytest.raises(ConfigError, match="x-coordinates"):
+            config_mod.build_run_config(config_mod.validate_document(doc))
 
     @pytest.mark.parametrize("edit", [
         {"geometry": {"bounds": {"lo": GeometryBounds().lo.tolist(),

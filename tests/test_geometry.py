@@ -63,6 +63,15 @@ class TestDecode:
         with pytest.raises(InvalidAction):
             decode(v, GeometryBounds())
 
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("x", [-0.01, 1.01])
+    def test_control_polygon_rejects_an_x_off_the_chord(self, side, x):
+        points = {"upper": np.array([[0.1, 0.05], [0.45, 0.08], [0.8, 0.03]])}
+        points["lower"] = points["upper"] * np.array([1.0, -1.0])
+        points[side][1, 0] = x
+        with pytest.raises(ConfigError, match="x-coordinates"):
+            ControlPolygon(leading_edge_radius=0.01, **points)
+
     def test_decode_encode_bijection(self):
         bounds = GeometryBounds()
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,6 @@ class TestNormalizeState:
 class TestCollectRound:
     def test_round_size_matches_pooling(self):
         cfg = small_cfg(workers=4, t_l=20)
-        cfg.validate()
         env = make_environment("low", bounds=cfg.bounds)
         params = agent.init_params(np.random.default_rng(0))
         batch, re_cs, infos = collect_round(cfg.target, env, params, cfg, 0)
@@ -81,7 +81,6 @@ class TestCollectRound:
     @pytest.mark.parametrize("workers", [1, 2, 4, 5])
     def test_logged_worker_labels(self, workers):
         cfg = small_cfg(workers=workers, t_l=20, budget=40)
-        cfg.validate()
         env = make_environment("low", bounds=cfg.bounds)
         trainer = PpoTrainer(agent.init_params(np.random.default_rng(0)), cfg.ppo)
         from mflight.orchestrator import run_phase
@@ -95,7 +94,6 @@ class TestCollectRound:
         batches = {}
         for workers in (1, 2, 4, 5):
             cfg = small_cfg(workers=workers)
-            cfg.validate()
             env = make_environment(fidelity, bounds=cfg.bounds)
             batches[workers] = collect_round(cfg.target, env, params, cfg, 0)
         one, re_one, info_one = batches[1]
@@ -117,7 +115,6 @@ class TestCollectRound:
                log_std=st.floats(-2.0, 1.0))
         def check(seed, round_index, t_l, hidden, log_std):
             cfg = small_cfg(seed=seed, workers=1, t_l=t_l, budget=t_l)
-            cfg.validate()
             rng = np.random.default_rng(seed)
             params = agent.init_params(rng, action_dim=13, hidden=hidden, log_std_init=log_std)
             params.flat += 0.3 * rng.standard_normal(params.flat.size)
@@ -150,7 +147,6 @@ class TestCollectRound:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = small_cfg(workers=4, t_l=20)
-        cfg.validate()
         env = make_environment("low", bounds=cfg.bounds)
         batch, _, _ = collect_round(cfg.target, env, agent.init_params(np.random.default_rng(0)),
                                     cfg, 0)
@@ -185,7 +181,6 @@ class TestCollectRound:
 
     def test_empty_phase_runs_zero_rounds(self):
         cfg = small_cfg(budget=0)
-        cfg.validate()
         env = make_environment("low", bounds=cfg.bounds)
         trainer = PpoTrainer(agent.init_params(np.random.default_rng(2)), cfg.ppo)
         from mflight.orchestrator import run_phase
@@ -216,16 +211,13 @@ class TestMetrics:
 
 class TestRunCampaign:
     def test_invalid_config_rejected_before_compute(self):
-        cfg = small_cfg(t_l=20, workers=3)   # 20 % 3 != 0
         with pytest.raises(ConfigError):
-            run_campaign(cfg)
-        cfg = small_cfg(budget=50)           # 50 % 20 != 0
+            small_cfg(t_l=20, workers=3)     # 20 % 3 != 0
         with pytest.raises(ConfigError):
-            run_campaign(cfg)
+            small_cfg(budget=50)             # 50 % 20 != 0
         cfg = small_cfg(mode="single_fidelity_ctl")
-        cfg.source = None
         with pytest.raises(ConfigError):
-            run_campaign(cfg)
+            replace(cfg, source=None)
 
     def test_scratch_runs_to_budget(self):
         cfg = small_cfg(budget=60)
@@ -271,9 +263,9 @@ class TestRunCampaign:
     def test_three_targets_three_reports(self):
         reports = []
         for mu in (6e6, 8e6, 1e7):
-            cfg = small_cfg(seed=7, budget=20)
-            cfg.target = PhaseSpec(name="target", fidelity="low",
-                                   dist=StateDistribution(mu, 5e5), max_episodes=20)
+            cfg = replace(small_cfg(seed=7, budget=20),
+                          target=PhaseSpec(name="target", fidelity="low",
+                                           dist=StateDistribution(mu, 5e5), max_episodes=20))
             reports.append(run_campaign(cfg))
         assert len(reports) == 3
         assert len({r.rows[0].re_c for r in reports}) == 3
@@ -310,10 +302,8 @@ class TestRunCampaign:
     def test_state_ref_defaults_to_source_distribution(self):
         cfg = small_cfg(mode="single_fidelity_ctl", budget=20, source_budget=20,
                         force_transfer=True, ctl_window=10)
-        cfg.state_ref = None
-        assert cfg.resolve_state_ref() == (5.5e6, 5e5)
-        scratch = small_cfg(budget=20)
-        scratch.state_ref = None
+        assert replace(cfg, state_ref=None).resolve_state_ref() == (5.5e6, 5e5)
+        scratch = replace(small_cfg(budget=20), state_ref=None)
         assert scratch.resolve_state_ref() == (8e6, 5e5)
 
 
@@ -430,9 +420,9 @@ class TestPersistence:
         # on the source distribution
         source_dist = StateDistribution(5.5e6, 5e5)
         env = make_environment("low", bounds=experiment_bounds())
-        source_cfg = experiment_config("scratch", seed=2101, target_budget=1200)
-        source_cfg.target = PhaseSpec(name="target", fidelity="low",
-                                      dist=source_dist, max_episodes=1200)
+        source_cfg = replace(experiment_config("scratch", seed=2101, target_budget=1200),
+                             target=PhaseSpec(name="target", fidelity="low",
+                                              dist=source_dist, max_episodes=1200))
         source_agent = run_campaign(source_cfg).params
         base = evaluate_policy(source_agent, source_dist, env, 300, 7,
                                (5.5e6, 5e5), episodes_per_update=20).rewards.mean()

@@ -1,12 +1,14 @@
-"""Print the sha256 of every deterministic artifact of three fixed mflight commands.
+"""Print the sha256 of every deterministic artifact of fixed mflight commands.
 
     python3 tools/artifact_digests.py [--seed 12345]
 
 Runs, from the checkout this script lives in and in a temporary directory:
 ``mflight train`` on the two campaign configs in bench/configs/
-(lowfi_transfer.json, multifi_transfer.json) with ``--seed``, and
+(lowfi_transfer.json, multifi_transfer.json) with ``--seed``,
 ``mflight evaluate`` of bench/eval.ckpt with bench/configs/hifi_evaluate.json
-at the same seed. Prints one ``sha256  path`` line per file, sorted by path.
+at the same seed, ``mflight compare`` of the two campaign runs
+(compare.csv) and ``python -m mflight.config`` (config_reference.txt).
+Prints one ``sha256  path`` line per file, sorted by path.
 A change that keeps every logged number the same prints the same lines on
 both checkouts:
 
@@ -33,15 +35,15 @@ CONFIGS = os.path.join(ROOT, "bench", "configs")
 CHECKPOINT = os.path.join(ROOT, "bench", "eval.ckpt")
 
 
-def mflight(args: list[str]) -> None:
+def mflight(args: list[str], module: str = "mflight.cli", stdout=sys.stderr) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    # the child's output goes to stderr, so standard output holds the digests alone
-    code = subprocess.run([sys.executable, "-m", "mflight.cli", *args], env=env,
-                          stdout=sys.stderr).returncode
+    # by default the child writes to stderr, so standard output holds the digests alone
+    code = subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          stdout=stdout).returncode
     if code != 0:
-        raise SystemExit(f"mflight {' '.join(args)} exited with {code}")
+        raise SystemExit(f"{module} {' '.join(args)} exited with {code}")
 
 
 def sha256(path: str) -> str:
@@ -67,6 +69,11 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(doc, fh)
         mflight(["evaluate", "--checkpoint", CHECKPOINT, "--config", eval_config,
                  "--out", os.path.join(runs, "eval")])
+        mflight(["compare", os.path.join(runs, "lowfi_transfer"),
+                 os.path.join(runs, "multifi_transfer"),
+                 "--out", os.path.join(runs, "compare.csv")])
+        with open(os.path.join(runs, "config_reference.txt"), "w") as fh:
+            mflight([], module="mflight.config", stdout=fh)
 
         paths = sorted(os.path.relpath(os.path.join(d, f), runs).replace(os.sep, "/")
                        for d, _, files in os.walk(runs) for f in files)
