@@ -1,8 +1,8 @@
 # %% The two drag models behind one environment interface
 #
-# Low fidelity: panel solve + form-factor-corrected flat-plate skin friction
-# (thickness is all it sees). High fidelity: the same panel solve feeding an
-# integral boundary-layer march (Thwaites -> Michel -> Head) closed with the
+# Low fidelity: form-factor-corrected flat-plate skin friction (thickness is
+# all it sees, so it runs no panel solve). High fidelity: a panel solve feeding
+# an integral boundary-layer march (Thwaites -> Michel -> Head) closed with the
 # Squire-Young formula. Same interface, correlated but different landscapes,
 # roughly a 10-50x cost gap.
 

@@ -69,6 +69,14 @@ class Mlp:
                 h = np.tanh(h)
         return h
 
+    def forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """``forward`` of a (B, k) stack with the bits of B one-row passes.
+
+        Bit-exact because each row runs as its own (1, k) product of a (B, 1, k)
+        stacked matmul; a plain (B, k) pass is one gemm, whose last bits differ.
+        """
+        return self.forward(x[:, None, :])[:, 0, :]
+
     def backward(self, cache: list, grad_out: np.ndarray, out: "Mlp") -> None:
         """Write the gradients of a scalar loss, given d(loss)/d(output), into ``out``
         (this network's shapes; typically views of a gradient vector)."""
@@ -182,15 +190,13 @@ class GaussianActions:
 def act(params: PolicyParams, states, rngs) -> GaussianActions:
     """Sample a_j ~ N(mean(s_j), diag(std^2)) for each state s_j, drawing from ``rngs[j]``.
 
-    Each mean is a single-state forward pass: a batched pass rounds differently
-    in the last bits. The rest is elementwise or sums over one row, so it runs
-    once on the stack with the bits of one row at a time.
+    The means are one :meth:`Mlp.forward_rows` pass over the stack; the rest
+    is elementwise or sums over one row. So every row has the bits of acting
+    on its state alone.
     """
-    d = params.action_dim
-    means = np.empty((len(states), d))
-    noise = np.empty((len(states), d))
-    for j, (state, rng) in enumerate(zip(states, rngs)):
-        means[j] = params.policy.forward(np.array([[state]], dtype=float))[0]
+    means = params.policy.forward_rows(np.asarray(states, dtype=float).reshape(-1, 1))
+    noise = np.empty_like(means)
+    for j, rng in enumerate(rngs):
         rng.standard_normal(out=noise[j])
     actions = means + np.exp(params.log_std) * noise
     return GaussianActions(actions=actions,
@@ -268,7 +274,7 @@ def load_checkpoint(path):
     """Load (params, extras) from a checkpoint file.
 
     The widths come from the ``policy.w{i}`` chain; besides ``extra.*`` the
-    file must hold exactly the arrays :func:`layout` names for them.
+    file must hold exactly the arrays :func:`layout` names for them, all finite.
     """
     arrays = load_arrays(path)
     chain = []
@@ -285,5 +291,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} does not hold a policy of widths {sizes}: "
                               + "; ".join(wrong))
     params = PolicyParams(sizes, np.concatenate([arrays[name].ravel() for name in expected]))
+    if not params.all_finite():
+        bad = [name for name, t in params.tensors() if not np.isfinite(t).all()]
+        raise CheckpointError(f"checkpoint {path} has non-finite values in {', '.join(bad)}")
     extras = {k[len("extra."):]: v for k, v in arrays.items() if k.startswith("extra.")}
     return params, extras

@@ -24,7 +24,8 @@ SCHEMA_VERSION = 1
 
 # (default, description) per key; None defaults mean "absent unless given"
 _PHASE_DOC = {
-    "fidelity": ("low", "environment tier: low (panel + flat-plate drag) or high (panel + BL march)"),
+    "fidelity": ("low", "environment tier: low (flat-plate drag of the max thickness) "
+                        "or high (panel + BL march)"),
     "mu": (5.5e6, "mean of the Gaussian Reynolds-number state distribution"),
     "sigma": (5e5, "std of the state distribution"),
     "max_episodes": (2000, "episode budget; must be a multiple of episodes_per_update"),

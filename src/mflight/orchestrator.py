@@ -19,14 +19,8 @@ import numpy as np
 
 from . import ctl as ctl_mod
 from .aeroenv import AeroResult, Environment, StateDistribution, make_environment, sample_state
-from .agent import (
-    PolicyParams,
-    act,
-    forward_policy,
-    init_params,
-    save_checkpoint,
-    value,
-)
+from .agent import PolicyParams, act, init_params, save_checkpoint
+from .agent import value  # unused here; bench/spans.LAYERS wraps orchestrator.value by name
 from .errors import ConfigError, RunError, SchemaError, SolverError
 from .files import atomic_write
 from .geometry import AirfoilShape, DesignVector, GeometryBounds, check_n_points
@@ -205,12 +199,12 @@ def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
     ref = cfg.resolve_state_ref()
     rngs = [episode_rng(cfg.seed, phase.name, round_index * t_l + j) for j in range(t_l)]
     re_cs = [sample_state(phase.dist, rng) for rng in rngs]
-    states = [normalize_state(re_c, ref) for re_c in re_cs]
+    states = np.array([[normalize_state(re_c, ref)] for re_c in re_cs])
     drawn = act(params, states, rngs)
-    values = np.array([value(params, state) for state in states])
+    values = params.value.forward_rows(states)[:, 0]
     outcomes = env.step_round(DesignVector(drawn.clipped), re_cs, cfg.penalty)
     rewards = np.array([reward for reward, _ in outcomes])
-    batch = ExperienceBatch(states=np.array(states).reshape(t_l, 1), actions=drawn.actions,
+    batch = ExperienceBatch(states=states, actions=drawn.actions,
                             log_probs_old=drawn.log_probs, advantages=rewards - values,
                             returns=rewards)
     return batch, re_cs, [info for _, info in outcomes]
@@ -406,14 +400,9 @@ class EvalResult:
 
 
 def greedy_designs(params: PolicyParams, re_cs, ref: tuple[float, float]) -> DesignVector:
-    """The clipped policy means at the given Reynolds numbers, as one (B, 13) stack.
-
-    The forward passes run one state per call: a batched pass rounds
-    differently in the last bits.
-    """
-    return DesignVector(np.array([
-        np.clip(forward_policy(params, normalize_state(re_c, ref))[0], -1.0, 1.0)
-        for re_c in re_cs]))
+    """The clipped policy means at the given Reynolds numbers, as one (B, 13) stack."""
+    states = np.array([[normalize_state(re_c, ref)] for re_c in re_cs])
+    return DesignVector(np.clip(params.policy.forward_rows(states), -1.0, 1.0))
 
 
 def evaluate_policy(params: PolicyParams, dist: StateDistribution, env: Environment,

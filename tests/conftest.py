@@ -1,13 +1,22 @@
 """Shared test helpers: finite differences, reference shapes, tuned campaign configs."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mflight import agent, ppo
 from mflight.aeroenv import StateDistribution
 from mflight.geometry import ControlPolygon, GeometryBounds, build_airfoil
 from mflight.orchestrator import PhaseSpec, RunConfig
 from mflight.ppo import PpoConfig
+
+# Tier-1 runs the "ci" profile: every checkout draws the same examples and no run replays
+# another's failures. HYPOTHESIS_PROFILE=explore draws fresh examples and keeps .hypothesis/.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 # --- finite-difference machinery -------------------------------------------

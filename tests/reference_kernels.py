@@ -14,8 +14,10 @@ the optimised kernels give bit-identical results.
 The PPO update is kept the same way: parameters as separate arrays, gradients
 in a dict keyed by array name, Adam's moments and step per array, and a
 rollback that swaps the backup parameters in for the live ones. So are the
-agent's single-state ``act`` and ``value``, which a training round now runs
-as one call over its stack of states.
+agent's single-state ``act`` and ``value``, one state and one forward pass
+per call: training and evaluation run each network once per round over the
+stack of states (``Mlp.forward_rows``), and the tests compare every row with
+these.
 """
 
 import warnings

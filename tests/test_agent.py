@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -196,6 +196,25 @@ class TestMlp:
     def test_sizes_roundtrip(self):
         params = init_params(np.random.default_rng(15), action_dim=13, hidden=(64, 64))
         assert params.policy.sizes == (1, 64, 64, 13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           hidden=st.lists(st.integers(1, 24), min_size=1, max_size=3).map(tuple),
+           action_dim=st.integers(1, 13),
+           rows=st.sampled_from([1, 3, 20]))
+    @example(seed=0, hidden=(64, 64), action_dim=13, rows=20)  # the default network
+    def test_forward_rows_equals_one_row_passes(self, seed, hidden, action_dim, rows):
+        # numpy does not promise this equality; a numpy or BLAS upgrade that breaks it
+        # would change every logged number, so it fails here first
+        rng = np.random.default_rng(seed)
+        p = init_params(rng, action_dim=action_dim, hidden=hidden)
+        p.flat += 0.3 * rng.standard_normal(p.flat.size)
+        x = 3.0 * rng.standard_normal((rows, 1))
+        for net in (p.policy, p.value):
+            got = net.forward_rows(x)
+            assert got.shape == (rows, net.sizes[-1])
+            for j in range(rows):
+                assert got[j].tobytes() == net.forward(x[j:j + 1])[0].tobytes(), j
 
     def test_parameters_finite_after_perturbation(self):
         p = init_params(np.random.default_rng(16))

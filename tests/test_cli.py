@@ -352,6 +352,22 @@ class TestEvaluate:
         assert "dimension" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("bad_value", ["nan", "inf"])
+    def test_non_finite_weight_exits_4(self, tmp_path, capsys, bad_value):
+        # nan used to exit 3 once pricing began, and inf to exit 0 on a saturated network
+        lines = (BENCH / "eval.ckpt").read_text().splitlines()
+        assert lines[1].startswith("array policy.w0 ")
+        lines[2] = bad_value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main(["evaluate", "--checkpoint", str(bad),
+                         "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
+                         "--episodes", "40", "--out", str(tmp_path / "ev")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite values in policy.w0" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ev").exists()
 
     @staticmethod
     def _drop_policy_b0(lines):

@@ -16,8 +16,9 @@ Times, with fixed seeds and one BLAS thread:
   fidelity (62 and 202 points), in the same box and drawn the same way, at
   Reynolds numbers drawn uniformly from [5e6, 9e6];
 - ``agent.act`` on one fixed round of 20 standard-normal states, each with
-  its own episode generator, and ``agent.value`` on one state, with the policy in
-  bench/eval.ckpt (13 actions, hidden (64, 64));
+  its own episode generator, and the round's value pass on the same 20 states
+  (``Mlp.forward_rows`` of the value net, as ``collect_round`` runs it), with
+  the policy in bench/eval.ckpt (13 actions, hidden (64, 64));
 - one PPO update of 10 epochs on a batch of 20 episodes. It starts from the
   same policy and has no KL stop;
 - ``TransferController.update`` at window k = 200, on a controller that has
@@ -172,8 +173,9 @@ def agent_timings():
     rngs = [episode_rng(2024, "source", j) for j in range(20)]
     seconds = best_of(lambda n: [states] * n, lambda s: act(params, s, rngs))
     yield f"act B={len(states)} (one round)", seconds
-    seconds = best_of(lambda n: states[:1] * n, lambda s: value(params, s))
-    yield "value (one state)", seconds
+    column = np.array(states).reshape(-1, 1)
+    seconds = best_of(lambda n: [column] * n, params.value.forward_rows)
+    yield f"value B={len(states)} (one round)", seconds
 
 
 def ppo_batch(params, size: int, seed: int) -> ExperienceBatch:
