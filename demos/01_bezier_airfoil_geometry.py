@@ -11,7 +11,6 @@ from mflight.geometry import (
     GeometryBounds,
     build_airfoil,
     decode,
-    encode,
     write_selig,
 )
 
@@ -28,8 +27,10 @@ print("  upper control points:", np.round(polygon.upper, 3).tolist())
 print("  lower control points:", np.round(polygon.lower, 3).tolist())
 print("  leading-edge radius :", round(polygon.leading_edge_radius, 4))
 
-# decode is a bijection: the inverse affine map recovers the action exactly
-print("  encode(decode(v)) == v:", np.allclose(encode(polygon, bounds), design.values))
+# decode is affine: an action of -1 lands on lo, +1 on hi
+for v, end in ((-1.0, bounds.lo), (1.0, bounds.hi)):
+    radius = decode(DesignVector(np.full(13, v)), bounds).leading_edge_radius
+    print(f"  action {v:+.0f} -> leading-edge radius {radius:.3f} (range end {end[12]:.3f})")
 
 # %% Sampling the curve gives a closed polyline, trailing edge around to
 # trailing edge, with validity established by construction checks.

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from mflight.aeroenv import high_fidelity_cd, low_fidelity_cd, make_environment
+from mflight.aeroenv import Environment, high_fidelity_cd, low_fidelity_cd
 from mflight.geometry import ControlPolygon, DesignVector, build_airfoil
 
 
@@ -41,8 +41,8 @@ for re_c in (5e6, 7e6, 1e7):
 
 # %% The cost ratio that makes multi-fidelity learning worthwhile: one round of
 # 20 episodes per tier, priced as training prices it.
-env_lo = make_environment("low")
-env_hi = make_environment("high")
+env_lo = Environment("low")
+env_hi = Environment("high")
 designs = DesignVector(np.zeros((20, 13)))
 for env in (env_lo, env_hi):
     t0 = time.perf_counter()

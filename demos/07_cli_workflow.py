@@ -20,6 +20,7 @@ config = {
     "target": {"fidelity": "low", "mu": 8e6, "sigma": 5e5, "max_episodes": 300},
     "ctl": {"window": 50, "force_transfer": True},
     "state_reference": {"mu": 5.5e6, "sigma": 5e5},
+    "evaluation": {"episodes": 200},
 }
 cfg_path = work / "ctl.json"
 cfg_path.write_text(json.dumps(config, indent=2))
@@ -34,12 +35,12 @@ for name, cfg in (("ctl_run", cfg_path), ("scratch_run", scratch_path)):
     code = cli.main(["train", "--config", str(cfg), "--out", str(work / name)])
     print(f"train {name}: exit {code}")
 
-# %% Evaluate the transferred policy greedily on the source distribution.
+# %% Evaluate the transferred policy greedily on the source distribution,
+# for the evaluation.episodes of the config.
 code = cli.main([
     "evaluate",
     "--checkpoint", str(work / "ctl_run" / "checkpoint_target_final.ckpt"),
     "--config", str(cfg_path),
-    "--episodes", "200",
     "--out", str(work / "ctl_eval"),
 ])
 print(f"evaluate: exit {code}")

@@ -116,15 +116,16 @@ def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0,
 class Environment:
     """One fidelity tier of the design environment.
 
-    Besides its fields it holds ``eval_count``, the number of episodes priced
-    (rows of ``step_round``) and ``evaluate`` calls, and ``work``, the
-    workspace of its ``n_points - 2`` panels that every panel solve of this
-    environment reuses. The workspace makes an environment serve one caller
-    at a time.
+    An unset ``n_points`` is the tier's own resolution, ``N_POINTS_LOW`` or
+    ``N_POINTS_HIGH``. Besides its fields it holds ``eval_count``, the number
+    of episodes priced (rows of ``step_round``) and ``evaluate`` calls, and
+    ``work``, the workspace of its ``n_points - 2`` panels that every panel
+    solve of this environment reuses. The workspace makes an environment
+    serve one caller at a time.
     """
 
     fidelity: str
-    n_points: int
+    n_points: int | None = None
     bounds: GeometryBounds = field(default_factory=GeometryBounds)
     alpha: float = 0.0
     blend_fraction: float = 0.02
@@ -132,6 +133,8 @@ class Environment:
     def __post_init__(self):
         if self.fidelity not in ("low", "high"):
             raise ConfigError(f"unknown fidelity {self.fidelity!r}")
+        if self.n_points is None:
+            self.n_points = N_POINTS_LOW if self.fidelity == "low" else N_POINTS_HIGH
         self.eval_count = 0
         self.work = PanelWorkspace(self.n_points - 2)
 
@@ -196,16 +199,6 @@ class Environment:
         if not result.converged:
             return penalty, info
         return -result.cd, info
-
-
-def make_environment(fidelity: str, bounds: GeometryBounds | None = None,
-                     alpha: float = 0.0, blend_fraction: float = 0.02,
-                     n_points: int | None = None) -> Environment:
-    if n_points is None:
-        n_points = N_POINTS_LOW if fidelity == "low" else N_POINTS_HIGH
-    return Environment(fidelity=fidelity, n_points=n_points,
-                       bounds=bounds or GeometryBounds(),
-                       alpha=alpha, blend_fraction=blend_fraction)
 
 
 def write_cp_csv(result: AeroResult, path) -> None:

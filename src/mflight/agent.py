@@ -274,7 +274,8 @@ def load_checkpoint(path):
     """Load (params, extras) from a checkpoint file.
 
     The widths come from the ``policy.w{i}`` chain; besides ``extra.*`` the
-    file must hold exactly the arrays :func:`layout` names for them, all finite.
+    file must hold exactly the arrays :func:`layout` names for them. Every
+    array, ``extra.*`` included, must be finite.
     """
     arrays = load_arrays(path)
     chain = []
@@ -290,9 +291,9 @@ def load_checkpoint(path):
     if wrong:
         raise CheckpointError(f"checkpoint {path} does not hold a policy of widths {sizes}: "
                               + "; ".join(wrong))
-    params = PolicyParams(sizes, np.concatenate([arrays[name].ravel() for name in expected]))
-    if not params.all_finite():
-        bad = [name for name, t in params.tensors() if not np.isfinite(t).all()]
+    bad = [name for name, v in arrays.items() if not np.isfinite(v).all()]
+    if bad:
         raise CheckpointError(f"checkpoint {path} has non-finite values in {', '.join(bad)}")
+    params = PolicyParams(sizes, np.concatenate([arrays[name].ravel() for name in expected]))
     extras = {k[len("extra."):]: v for k, v in arrays.items() if k.startswith("extra.")}
     return params, extras

@@ -200,9 +200,13 @@ def split_surfaces(x_mid: np.ndarray, y_mid: np.ndarray, vt: np.ndarray):
     """Split panel midpoints at the stagnation point into two marchable surfaces.
 
     With clockwise ordering the tangential velocity is negative on the lower
-    surface and positive on the upper; the stagnation point sits at the sign
-    change nearest the leading edge. Returns (s, ue, x) per surface, each
-    ordered stagnation point -> trailing edge.
+    surface and positive on the upper. The stagnation point is taken at the
+    last panel with negative ``vt`` (panel 0 if none is negative, and never
+    past panel n - 2): the lower surface runs from it back to panel 0, the
+    upper from the next panel to the end. Where ``vt`` changes sign more than
+    once, this is not the sign change nearest the leading edge (ROADMAP item
+    2, step a'). Returns (s, ue, x) per surface, each ordered stagnation
+    point -> trailing edge.
     """
     vt = np.asarray(vt, dtype=float)
     n = len(vt)

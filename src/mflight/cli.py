@@ -11,7 +11,6 @@ import ctypes
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -50,7 +49,6 @@ def _parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="greedy evaluation of a checkpoint")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--config", required=True)
-    e.add_argument("--episodes", type=int, default=None)
     e.add_argument("--out", required=True)
 
     c = sub.add_parser("compare", help="compare runs against the first (baseline)")
@@ -85,8 +83,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = config_mod.build_run_config(config_mod.load_document(args.config))
-    if args.episodes is not None:
-        cfg = replace(cfg, eval_episodes=args.episodes)
     (dist, fidelity), episodes = cfg.evaluation(), cfg.eval_episodes
     params, _ = load_checkpoint(args.checkpoint)
     result = orch.evaluate_policy(params, dist, cfg.environment(fidelity), episodes, cfg.seed,
@@ -119,7 +115,8 @@ def cmd_evaluate(args) -> int:
 
 # the summary.txt keys compare reads, with their types
 COMPARE_KEYS = (("mode", str), ("target_fidelity", str), ("threshold", float),
-                ("ctl_window", int), ("tail_episodes", int), ("env_calls_high", int))
+                ("ctl_window", int), ("tail_mean", float), ("tail_var", float),
+                ("env_calls_high", int))
 
 
 def _run_metrics(run_dir: str):
@@ -150,14 +147,12 @@ def cmd_compare(args) -> int:
     for (summary, rewards), run_dir in zip(runs, args.run_dirs):
         eps = orch.episodes_to_threshold(rewards, threshold, window)
         savings = "" if eps is None or base_eps is None else repr(100.0 * (1.0 - eps / base_eps))
-        tail = rewards[-summary["tail_episodes"]:]
-        tail_mean = float(tail.mean()) if len(tail) else float("nan")
-        tail_var = float(tail.var()) if len(tail) else float("nan")
         lines.append(
             f"{os.path.basename(os.path.normpath(run_dir))},{summary['mode']},"
             f"{summary['target_fidelity']},{len(rewards)},"
             f"{'' if eps is None else eps},"
-            f"{tail_mean!r},{tail_var!r},{summary['env_calls_high']},{savings}"
+            f"{summary['tail_mean']!r},{summary['tail_var']!r},{summary['env_calls_high']},"
+            f"{savings}"
         )
     text = "\n".join(lines) + "\n"
     atomic_write(args.out, text)

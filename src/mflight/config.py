@@ -84,21 +84,8 @@ _REFERENCE: dict = {
     },
 }
 
+# the sections that may be null: no source phase, no explicit state reference
 _NULLABLE_SECTIONS = ("source", "state_reference")
-
-
-def _defaults(tree: dict) -> dict:
-    out = {}
-    for key, val in tree.items():
-        out[key] = _defaults(val) if isinstance(val, dict) else val[0]
-    return out
-
-
-def default_config() -> dict:
-    """A complete config document populated with every default."""
-    doc = _defaults(_REFERENCE)
-    doc["source"] = None
-    return doc
 
 
 def reference_text() -> str:
@@ -122,38 +109,34 @@ def reference_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_keys(doc, ref: dict, path: str) -> None:
-    if not isinstance(doc, dict):
+def _merge(ref: dict, given, path: str) -> dict:
+    """``given`` with every default of ``ref`` filled in, in ``ref``'s key order.
+
+    Walks the given keys in document order, so the first unknown key or
+    non-object section met is the one reported. Only a nullable section, or
+    the target (which ``validate_document`` then reports missing), may be null.
+    """
+    if not isinstance(given, dict):
         raise ConfigError(f"config section {path or '<root>'} must be an object")
-    for key, val in doc.items():
+    merged = {}
+    for key, val in given.items():
         if key not in ref:
             raise ConfigError(f"unknown config key {path}{key}")
-        if isinstance(ref[key], dict) and val is not None:
-            _check_keys(val, ref[key], f"{path}{key}.")
+        null = val is None and f"{path}{key}" in (*_NULLABLE_SECTIONS, "target")
+        is_section = isinstance(ref[key], dict) and not null
+        merged[key] = _merge(ref[key], val, f"{path}{key}.") if is_section else val
+    return {key: merged[key] if key in merged
+            else _merge(val, {}, "") if isinstance(val, dict) else val[0]
+            for key, val in ref.items()}
 
 
 def validate_document(doc: dict) -> dict:
     """Fill defaults, reject unknown keys, and sanity-check the document."""
-    _check_keys(doc, _REFERENCE, "")
+    merged = _merge(_REFERENCE, doc, "")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"config schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
         )
-
-    def merge(ref: dict, given: dict) -> dict:
-        out = {}
-        for key, val in ref.items():
-            if isinstance(val, dict):
-                sub = given.get(key)
-                if sub is None and key in given:
-                    out[key] = None
-                else:
-                    out[key] = merge(val, sub or {})
-            else:
-                out[key] = given.get(key, val[0])
-        return out
-
-    merged = merge(_REFERENCE, doc)
     for section in _NULLABLE_SECTIONS:
         if section not in doc:
             merged[section] = None

@@ -87,13 +87,6 @@ class TransferController:
             "ctl.rewards": np.asarray(self.reward_history, dtype=float),
         }
 
-    @classmethod
-    def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "TransferController":
-        ctrl = cls(k=int(arrays["ctl.k"]), gamma_cut=float(arrays["ctl.gamma_cut"]))
-        for r in np.atleast_1d(arrays["ctl.rewards"]):
-            ctrl.update(float(r))
-        return ctrl
-
 
 def transfer(source_params: PolicyParams) -> PolicyParams:
     """Deep-copy the source policy and value parameters for the target task.

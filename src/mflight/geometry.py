@@ -182,16 +182,6 @@ def decode(design, bounds: GeometryBounds) -> ControlPolygon:
     )
 
 
-def encode(polygon: ControlPolygon, bounds: GeometryBounds) -> np.ndarray:
-    """Inverse of :func:`decode`: recover the normalized design vectors."""
-    lead = polygon.upper.shape[:-2]
-    g = np.empty(lead + (N_DESIGN_VARS,))
-    g[..., _UPPER] = polygon.upper.reshape(lead + (6,))
-    g[..., _LOWER] = polygon.lower.reshape(lead + (6,))
-    g[..., _RADIUS] = polygon.leading_edge_radius
-    return 2.0 * (g - bounds.lo) / (bounds.hi - bounds.lo) - 1.0
-
-
 def bezier_eval(ctrl, t):
     """Evaluate a Bezier curve in Bernstein form.
 
@@ -390,7 +380,3 @@ def write_selig(shape: AirfoilShape, path) -> None:
     Written atomically (complete or absent).
     """
     atomic_write(path, "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in selig_points(shape)))
-
-
-def read_selig(path) -> np.ndarray:
-    return np.loadtxt(path, dtype=float)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ctl as ctl_mod
-from .aeroenv import AeroResult, Environment, StateDistribution, make_environment, sample_state
+from .aeroenv import AeroResult, Environment, StateDistribution, sample_state
 from .agent import PolicyParams, act, init_params, save_checkpoint
 from .agent import value  # unused here; bench/spans.LAYERS wraps orchestrator.value by name
 from .errors import ConfigError, RunError, SchemaError, SolverError
@@ -156,8 +156,8 @@ class RunConfig:
     def environment(self, fidelity: str) -> Environment:
         """The environment of one fidelity tier, at that tier's surface resolution."""
         n_points = self.n_points_low if fidelity == "low" else self.n_points_high
-        return make_environment(fidelity, bounds=self.bounds, alpha=self.alpha,
-                                blend_fraction=self.blend_fraction, n_points=n_points)
+        return Environment(fidelity, n_points, bounds=self.bounds, alpha=self.alpha,
+                           blend_fraction=self.blend_fraction)
 
 
 def normalize_state(re_c: float, ref: tuple[float, float]) -> float:

@@ -1,12 +1,14 @@
-"""Shared test helpers: finite differences, reference shapes, tuned campaign configs."""
+"""Shared test helpers: finite differences, a short real run, shapes, campaign configs."""
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from mflight import agent, ppo
+from mflight import agent, cli, ppo
 from mflight.aeroenv import StateDistribution
 from mflight.geometry import ControlPolygon, GeometryBounds, build_airfoil
 from mflight.orchestrator import PhaseSpec, RunConfig
@@ -60,6 +62,31 @@ def random_batch(rng, params, size=6):
     adv = (adv - adv.mean()) / adv.std()
     return ppo.ExperienceBatch(states=states, actions=actions, log_probs_old=logp_old,
                                advantages=adv, returns=rewards)
+
+
+# --- a short real run ---------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="session")
+def short_run(tmp_path_factory):
+    """A short single-fidelity CTL campaign of the committed lowfi_transfer config.
+
+    Returns the directory that holds its ``config.json`` and, under ``run/``,
+    every file ``mflight train`` wrote: 40 source and 20 target episodes, and
+    checkpoints whose extras hold the controller state.
+    """
+    root = tmp_path_factory.mktemp("short_run")
+    doc = json.loads((BENCH / "configs" / "lowfi_transfer.json").read_text())
+    doc["source"]["max_episodes"] = 40
+    doc["target"]["max_episodes"] = 20
+    doc["ctl"]["force_transfer"] = True
+    doc["evaluation"]["episodes"] = 5
+    config = root / "config.json"
+    config.write_text(json.dumps(doc, indent=2))
+    assert cli.main(["train", "--config", str(config), "--out", str(root / "run")]) == 0
+    return root
 
 
 # --- reference geometry ------------------------------------------------------

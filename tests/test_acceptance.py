@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mflight import agent, cli, ppo
-from mflight.aeroenv import StateDistribution, make_environment
+from mflight.aeroenv import Environment, StateDistribution
 from mflight.agent import (
     forward_policy,
     gaussian_log_prob,
@@ -250,7 +250,7 @@ def test_criterion_5_determinism(tmp_path):
     batches = []
     for workers in (1, 4):
         cfg = replace(experiment_config("scratch", seed=77), workers=workers)
-        env = make_environment("low", bounds=cfg.bounds)
+        env = Environment("low", bounds=cfg.bounds)
         batches.append(collect_round(cfg.target, env, params, cfg, 0))
     (one, re_one, _), (four, re_four, _) = batches
     merged_identical = re_one == re_four and all(
@@ -304,7 +304,7 @@ def test_criterion_8_transfer_fidelity_agreement(multi_fidelity_pairs):
                     else metrics[s]["savings"])
     median_seed = ranked[len(ranked) // 2]
     scratch, ctl = multi_fidelity_pairs[median_seed]
-    env = make_environment("high", bounds=experiment_bounds())
+    env = Environment("high", bounds=experiment_bounds())
     ref = (5.5e6, 5e5)
 
     def mean_shape_cd(params, re_c):

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from mflight.aeroenv import (
     DEFAULT_PENALTY,
+    N_POINTS_HIGH,
+    N_POINTS_LOW,
     AeroResult,
     Environment,
     StateDistribution,
@@ -11,7 +13,6 @@ from mflight.aeroenv import (
     form_factor,
     high_fidelity_cd,
     low_fidelity_cd,
-    make_environment,
     sample_state,
     write_cp_csv,
 )
@@ -128,7 +129,7 @@ class TestHighFidelity:
                                -1.0, 0.36730191602471457, -1.0, -0.9586809327444866,
                                0.4403442193559862, 1.0, 0.4912869632740707,
                                0.19965325875077478, 1.0, 0.45827472517633094])
-        env = make_environment("high")
+        env = Environment("high")
         (shape,) = env.build_shapes(design)
         assert shape.valid
         with pytest.raises(SolverError, match="trailing-edge panel"):
@@ -147,7 +148,7 @@ class TestEnvironmentStep:
         hi[1::2][:3] = 0.25
         lo[7::2][:2] = -0.25
         hi[7::2][:2] = 0.25
-        env = make_environment("low", bounds=GeometryBounds(lo=lo, hi=hi))
+        env = Environment("low", bounds=GeometryBounds(lo=lo, hi=hi))
         v = np.zeros(13)
         v[[1, 3, 5]] = -1.0    # upper far below
         v[[7, 9, 11]] = 1.0    # lower far above
@@ -156,7 +157,7 @@ class TestEnvironmentStep:
         assert not info["valid"]
 
     def test_reward_is_negated_drag(self):
-        env = make_environment("low")
+        env = Environment("low")
         ((reward, info),) = env.step_round(DesignVector(np.zeros(13)), [6e6])
         assert info["valid"] and info["converged"]
         assert reward == -info["cd"]
@@ -165,7 +166,7 @@ class TestEnvironmentStep:
         # a drag coefficient of 0.0102 maps to reward -0.0102
         result = AeroResult(cd=0.0102, cl=0.0, cp=np.zeros(3), cp_x=np.zeros(3),
                             converged=True)
-        env = make_environment("low")
+        env = Environment("low")
         env._evaluate = lambda shape, re_c: result
         ((reward, _),) = env.step_round(DesignVector(np.zeros(13)), [6e6])
         assert reward == -0.0102
@@ -173,7 +174,7 @@ class TestEnvironmentStep:
     def test_solver_error_maps_to_penalty(self):
         from mflight.errors import SolverError
 
-        env = make_environment("low")
+        env = Environment("low")
 
         def boom(shape, re_c):
             raise SolverError("singular influence matrix")
@@ -185,7 +186,7 @@ class TestEnvironmentStep:
         assert env.eval_count == 1
 
     def test_identical_inputs_identical_rewards(self):
-        env = make_environment("high")
+        env = Environment("high")
         d = DesignVector(np.full(13, 0.1))
         ((r1, _),) = env.step_round(d, [8e6])
         ((r2, _),) = env.step_round(d, [8e6])
@@ -193,7 +194,7 @@ class TestEnvironmentStep:
 
     def test_reused_workspace_gives_the_same_step(self):
         # the second step on A reads the workspace that B's solve left behind
-        env = make_environment("high", bounds=experiment_bounds())
+        env = Environment("high", bounds=experiment_bounds())
         work = env.work
         design_a = DesignVector(np.full(13, 0.3))
         design_b = DesignVector(np.linspace(-0.8, 0.6, 13))
@@ -205,11 +206,11 @@ class TestEnvironmentStep:
         assert first[0] != between[0]
         # repr round-trips every float, so equal reprs are equal bits
         assert repr(again) == repr(first)
-        (fresh,) = make_environment("high", bounds=experiment_bounds()).step_round(design_a, [8e6])
+        (fresh,) = Environment("high", bounds=experiment_bounds()).step_round(design_a, [8e6])
         assert repr(fresh) == repr(first)
 
     def test_reward_bounded_by_penalty(self):
-        env = make_environment("low")
+        env = Environment("low")
         rng = np.random.default_rng(5)
         outcomes = env.step_round(DesignVector(rng.uniform(-1, 1, (20, 13))), [6e6] * 20)
         for reward, _ in outcomes:
@@ -221,19 +222,25 @@ class TestEnvironmentStep:
         d = DesignVector(np.zeros(13))
         rewards = {}
         for fidelity in ("low", "high"):
-            env = make_environment(fidelity)
+            env = Environment(fidelity)
             assert isinstance(env, Environment)
             ((reward, info),) = env.step_round(d, [7e6])
             rewards[fidelity] = reward
             assert reward < 0
         assert rewards["low"] != rewards["high"]
 
+    def test_unset_resolution_is_the_tier_default(self):
+        assert Environment("low").n_points == N_POINTS_LOW == 62
+        assert Environment("high").n_points == N_POINTS_HIGH == 202
+        env = Environment("high", 102)
+        assert env.n_points == 102 and env.work.n_panels == 100
+
     def test_step_counts_episodes_including_invalid(self):
         lo = GeometryBounds().lo.copy()
         hi = GeometryBounds().hi.copy()
         lo[1::2][:3] = -0.25
         hi[1::2][:3] = 0.25
-        env = make_environment("low", bounds=GeometryBounds(lo=lo, hi=hi))
+        env = Environment("low", bounds=GeometryBounds(lo=lo, hi=hi))
         bad = np.zeros(13)
         bad[[1, 3, 5]] = -1.0
         outcomes = env.step_round(DesignVector(np.stack([bad, np.zeros(13)])), [6e6, 6e6])

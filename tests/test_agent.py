@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,10 +22,8 @@ from mflight.agent import (
 from mflight.errors import CheckpointError
 from mflight.ppo import normalize_advantages
 
-from conftest import fd_gradient, max_rel_error
+from conftest import BENCH, fd_gradient, max_rel_error
 from reference_kernels import act_reference, value_reference
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def zeroed_output(params):

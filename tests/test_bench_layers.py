@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from mflight.aeroenv import make_environment
+from mflight.aeroenv import Environment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,7 +39,7 @@ def test_layer_entry_point_resolves(layer, module_name, attr):
 
 def test_step_output_takes_the_penalized_tag():
     _, tag = SPANS.TAGGED["aeroenv.step"]
-    env = make_environment("low")
+    env = Environment("low")
     crossed = np.zeros(13)
     crossed[[1, 3, 5]] = -1.0   # upper ordinates at their lowest,
     crossed[[7, 9, 11]] = 1.0   # lower ordinates at their highest

@@ -1,7 +1,6 @@
 import json
 import os
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from mflight.aeroenv import Environment
 from mflight.agent import load_checkpoint
 from mflight.errors import CheckpointError
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import BENCH
 
 
 def write_config(path, **overrides):
@@ -221,14 +220,13 @@ class TestEvaluate:
         eval_out = tmp_path / "eval"
         code = cli.main(["evaluate", "--checkpoint",
                          str(out / "checkpoint_target_final.ckpt"),
-                         "--config", str(cfg), "--episodes", "25",
-                         "--out", str(eval_out)])
+                         "--config", str(cfg), "--out", str(eval_out)])
         assert code == 0
         lines = (eval_out / "histogram.csv").read_text().splitlines()
         assert lines[0] == "# mflight-histogram v1"
         assert lines[1] == "bin_left,bin_right,count"
         counts = [int(line.split(",")[2]) for line in lines[2:]]
-        assert sum(counts) == 25
+        assert sum(counts) == 30  # the config's evaluation.episodes
         assert (eval_out / "airfoil_mean.dat").exists()
         assert (eval_out / "cp_mean.csv").exists()
         assert (eval_out / "eval_summary.txt").exists()
@@ -239,7 +237,7 @@ class TestEvaluate:
         for dest in (a, b):
             cli.main(["evaluate", "--checkpoint",
                       str(out / "checkpoint_target_final.ckpt"),
-                      "--config", str(cfg), "--episodes", "20", "--out", str(dest)])
+                      "--config", str(cfg), "--out", str(dest)])
         for name in ("histogram.csv", "eval_summary.txt", "airfoil_mean.dat"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -250,13 +248,16 @@ class TestEvaluate:
         bad.write_text(text.replace("MFRL-CKPT v1", "MFRL-CKPT v2"))
         eval_out = tmp_path / "ev_bad"
         code = cli.main(["evaluate", "--checkpoint", str(bad), "--config", str(cfg),
-                         "--episodes", "5", "--out", str(eval_out)])
+                         "--out", str(eval_out)])
         assert code == 4
         assert not eval_out.exists()
 
     def test_checkpoints_of_a_zero_episode_source_phase_evaluate(self, tmp_path):
         # the controller saw no reward, so both checkpoints hold an empty ctl.rewards
-        config = str(BENCH / "configs" / "lowfi_transfer.json")
+        doc = json.loads((BENCH / "configs" / "lowfi_transfer.json").read_text())
+        doc["evaluation"]["episodes"] = 5
+        config = str(tmp_path / "c.json")
+        (tmp_path / "c.json").write_text(json.dumps(doc))
         out = tmp_path / "run"
         assert cli.main(["train", "--config", config, "--out", str(out), "--seed", "3",
                          "--set", "source.max_episodes=0", "--set", "ctl.force_transfer=true",
@@ -267,7 +268,7 @@ class TestEvaluate:
             assert extras["ctl.rewards"].shape == (0,)
             assert extras["ctl.k"].shape == ()
             code = cli.main(["evaluate", "--checkpoint", str(checkpoint), "--config", config,
-                             "--episodes", "5", "--out", str(tmp_path / f"ev_{name}")])
+                             "--out", str(tmp_path / f"ev_{name}")])
             assert code == 0, name
 
     def test_checkpoint_one_value_short_exits_4(self, tmp_path, capsys):
@@ -278,25 +279,21 @@ class TestEvaluate:
             load_checkpoint(short)
         code = cli.main(["evaluate", "--checkpoint", str(short),
                          "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
-                         "--episodes", "1", "--out", str(tmp_path / "ev")])
+                         "--out", str(tmp_path / "ev")])
         assert code == 4
         assert "truncated checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["flag", "document"])
-    def test_negative_episode_count_exits_2(self, tmp_path, capsys, monkeypatch, source):
+    def test_negative_episode_count_exits_2(self, tmp_path, capsys, monkeypatch):
         def must_not_load(path):
             raise AssertionError("the checkpoint was read")
 
         monkeypatch.setattr(cli, "load_checkpoint", must_not_load)
         doc = json.loads((BENCH / "configs" / "hifi_evaluate.json").read_text())
-        args = ["evaluate", "--checkpoint", str(BENCH / "eval.ckpt"),
-                "--out", str(tmp_path / "ev")]
-        if source == "flag":
-            args += ["--episodes", "-1"]
-        else:
-            doc["evaluation"]["episodes"] = -1
+        doc["evaluation"]["episodes"] = -1
         (tmp_path / "c.json").write_text(json.dumps(doc))
-        assert cli.main(args + ["--config", str(tmp_path / "c.json")]) == 2
+        assert cli.main(["evaluate", "--checkpoint", str(BENCH / "eval.ckpt"),
+                         "--config", str(tmp_path / "c.json"),
+                         "--out", str(tmp_path / "ev")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "episodes must be >= 0" in err
         assert len(err.splitlines()) == 1
@@ -347,7 +344,7 @@ class TestEvaluate:
             load_checkpoint(bad)
         code = cli.main(["evaluate", "--checkpoint", str(bad),
                          "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
-                         "--episodes", "1", "--out", str(tmp_path / "ev")])
+                         "--out", str(tmp_path / "ev")])
         assert code == 4
         assert "dimension" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
@@ -362,11 +359,47 @@ class TestEvaluate:
         bad.write_text("\n".join(lines) + "\n")
         code = cli.main(["evaluate", "--checkpoint", str(bad),
                          "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
-                         "--episodes", "40", "--out", str(tmp_path / "ev")])
+                         "--out", str(tmp_path / "ev")])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite values in policy.w0" in err
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("bad_value", ["nan", "inf"])
+    def test_non_finite_controller_extra_exits_4(self, tmp_path, capsys, short_run, bad_value):
+        lines = (short_run / "run" / "checkpoint_target_final.ckpt").read_text().splitlines()
+        start = lines.index("array extra.ctl.rewards 40")
+        lines[start + 7] = bad_value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="non-finite values in extra.ctl.rewards"):
+            load_checkpoint(bad)
+        code = cli.main(["evaluate", "--checkpoint", str(bad),
+                         "--config", str(short_run / "config.json"),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite values in extra.ctl.rewards" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ev").exists()
+
+    def test_campaign_extras_are_finite(self, short_run):
+        for name in ("source_final", "target_final"):
+            _, extras = load_checkpoint(short_run / "run" / f"checkpoint_{name}.ckpt")
+            assert len(extras["ctl.rewards"]) == 40
+            assert all(np.isfinite(v).all() for v in extras.values())
+        _, extras = load_checkpoint(BENCH / "eval.ckpt")
+        assert len(extras) == 5
+
+    def test_episodes_flag_is_rejected(self, tmp_path, capsys):
+        # the episode count is the config's evaluation.episodes
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["evaluate", "--checkpoint", str(BENCH / "eval.ckpt"),
+                      "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
+                      "--episodes", "5", "--out", str(tmp_path / "ev")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --episodes 5" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
     @staticmethod
@@ -396,7 +429,7 @@ class TestEvaluate:
         bad.write_text("\n".join(getattr(self, edit)(lines)) + "\n")
         code = cli.main(["evaluate", "--checkpoint", str(bad),
                          "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
-                         "--episodes", "1", "--out", str(tmp_path / "ev")])
+                         "--out", str(tmp_path / "ev")])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -475,6 +508,26 @@ class TestCompare:
         assert code == 0
         for line in table.read_text().splitlines()[2:]:
             assert line.split(",")[3:7] == ["0", "", "nan", "nan"]
+
+    def test_tail_columns_are_the_summary_values(self, tmp_path, short_run):
+        out = short_run / "run"
+        summary = orchestrator.read_summary(out / "summary.txt")
+        # summary.txt holds the statistics of the last tail_episodes target rewards
+        rewards = np.array([r["reward"] for r in orchestrator.read_episodes_csv(
+            out / "episodes.csv") if r["phase"] == "target"])
+        tail = rewards[-int(summary["tail_episodes"]):]
+        assert [summary["tail_mean"], summary["tail_var"]] == [repr(float(tail.mean())),
+                                                               repr(float(tail.var()))]
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        (edited / "episodes.csv").write_text((out / "episodes.csv").read_text())
+        (edited / "summary.txt").write_text((out / "summary.txt").read_text().replace(
+            f"tail_mean: {summary['tail_mean']}\n", "tail_mean: -0.5\n"))
+        table = tmp_path / "cmp.csv"
+        assert cli.main(["compare", str(out), str(edited), "--out", str(table)]) == 0
+        rows = [line.split(",") for line in table.read_text().splitlines()[2:]]
+        assert rows[0][5:7] == [summary["tail_mean"], summary["tail_var"]]
+        assert rows[1][5:7] == ["-0.5", summary["tail_var"]]
 
     def test_needs_two_dirs(self, tmp_path, scratch_run):
         _, out = scratch_run

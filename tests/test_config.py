@@ -43,6 +43,29 @@ class TestValidation:
             with pytest.raises(ConfigError, match=f"unknown config key ppo.{key}"):
                 config_mod.validate_document(doc)
 
+    @pytest.mark.parametrize("path", ["ppo", "ctl", "agent", "geometry", "geometry.bounds",
+                                      "environment", "evaluation"])
+    def test_null_section_rejected(self, path):
+        # a null ppo section used to end in an AttributeError traceback
+        doc = minimal_doc()
+        *parents, key = path.split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[key] = None
+        with pytest.raises(ConfigError, match=f"config section {path}. must be an object"):
+            config_mod.validate_document(doc)
+
+    @pytest.mark.parametrize("section", ["source", "state_reference"])
+    def test_nullable_section_may_be_null(self, section):
+        doc = config_mod.validate_document({**minimal_doc(), section: None})
+        assert doc[section] is None
+        assert config_mod.build_run_config(doc).source is None
+
+    def test_null_target_reported_missing(self):
+        with pytest.raises(ConfigError, match="must define a target phase"):
+            config_mod.validate_document({**minimal_doc(), "target": None})
+
     def test_wrong_schema_version_rejected(self):
         doc = minimal_doc()
         doc["schema_version"] = 2
@@ -198,6 +221,19 @@ class TestReference:
             assert key in text
 
     def test_default_config_round_trips_json(self):
-        doc = config_mod.default_config()
+        # validation fills every default in: the reference's every key, and nothing else
+        doc = config_mod.validate_document(minimal_doc())
+
+        def leaves(tree, prefix=""):
+            for key, val in tree.items():
+                yield from leaves(val, f"{prefix}{key}.") if isinstance(val, dict) \
+                    else [f"{prefix}{key}"]
+
+        documented = [line.split(" = ")[0] for line in config_mod.reference_text().splitlines()
+                      if " = " in line and not line.startswith(" ")]
+        assert doc["source"] is None and doc["state_reference"] is None
+        filled = {**doc, "source": doc["target"], "state_reference": {"mu": None, "sigma": None}}
+        assert sorted(leaves(filled)) == sorted(documented)
         again = json.loads(json.dumps(doc))
-        assert config_mod.validate_document({**again, "target": minimal_doc()["target"]})
+        assert again == doc
+        assert config_mod.validate_document(again) == doc

@@ -175,10 +175,18 @@ class TestTransfer:
 
 
 class TestStateArrays:
-    def test_roundtrip_preserves_decision(self):
+    def test_roundtrip_preserves_decision(self, tmp_path):
+        # a checkpoint's extras hold the reward history; replaying it repeats the decision
         rng = np.random.default_rng(10)
         ctrl, _ = replay(np.concatenate([rng.normal(0, 1, 100), rng.normal(0, 0.01, 100)]))
-        again = TransferController.from_state_arrays(ctrl.state_arrays())
-        assert again.complete == ctrl.complete
+        arrays = ctrl.state_arrays()
+        assert arrays["ctl.rewards"].tolist() == ctrl.reward_history
+        path = tmp_path / "ctl.ckpt"
+        save_checkpoint(path, init_params(np.random.default_rng(0)), extras=arrays)
+        _, extras = load_checkpoint(path)
+        again, _ = replay(extras["ctl.rewards"], k=int(extras["ctl.k"]),
+                          gamma_cut=float(extras["ctl.gamma_cut"]))
+        assert again.complete == ctrl.complete == bool(extras["ctl.complete"])
+        assert again.complete_episode == int(extras["ctl.complete_episode"])
         assert again.complete_episode == ctrl.complete_episode
         assert_allclose(again.beta_history, ctrl.beta_history, rtol=0, atol=0)

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from mflight import boundary_layer as bl
 from mflight import panel
-from mflight.aeroenv import RE_FLOOR, low_fidelity_cd, make_environment
+from mflight.aeroenv import RE_FLOOR, Environment, low_fidelity_cd
 from mflight.agent import forward_policy, gaussian_log_prob, init_params
 from mflight.ctl import TransferController
 from mflight.errors import ConfigError, InvalidAction, SolverError
@@ -418,7 +418,7 @@ class TestLowFidelityReward:
     @settings(max_examples=200, deadline=None)
     @given(design=actions, re_c=st.floats(RE_FLOOR, 1e8))
     def test_reward_equals_solved_drag(self, design, re_c):
-        env = make_environment("low")
+        env = Environment("low")
         (shape,) = env.build_shapes(design)
         assume(shape.valid)
         # every valid 60-panel shape solves, so the solve could never penalize
@@ -428,7 +428,7 @@ class TestLowFidelityReward:
         assert info["converged"] and info["cl"] is None
 
     def test_evaluate_still_solves(self):
-        env = make_environment("low")
+        env = Environment("low")
         shape = build_airfoil(symmetric_polygon(0.075, 0.085, 0.035, r=0.012), 62)[0]
         result = env.evaluate(shape, 6e6)
         assert result.cl == pytest.approx(0.0, abs=1e-9)

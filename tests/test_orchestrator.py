@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mflight import agent
-from mflight.aeroenv import StateDistribution, make_environment, sample_state
+from mflight.aeroenv import Environment, StateDistribution, sample_state
 from mflight.agent import load_checkpoint
 from mflight.errors import ConfigError, RunError, SchemaError, SolverError
 from mflight.geometry import DesignVector
@@ -72,7 +72,7 @@ class TestNormalizeState:
 class TestCollectRound:
     def test_round_size_matches_pooling(self):
         cfg = small_cfg(workers=4, t_l=20)
-        env = make_environment("low", bounds=cfg.bounds)
+        env = Environment("low", bounds=cfg.bounds)
         params = agent.init_params(np.random.default_rng(0))
         batch, re_cs, infos = collect_round(cfg.target, env, params, cfg, 0)
         assert len(batch) == len(re_cs) == len(infos) == 20
@@ -81,7 +81,7 @@ class TestCollectRound:
     @pytest.mark.parametrize("workers", [1, 2, 4, 5])
     def test_logged_worker_labels(self, workers):
         cfg = small_cfg(workers=workers, t_l=20, budget=40)
-        env = make_environment("low", bounds=cfg.bounds)
+        env = Environment("low", bounds=cfg.bounds)
         trainer = PpoTrainer(agent.init_params(np.random.default_rng(0)), cfg.ppo)
         from mflight.orchestrator import run_phase
         rows = run_phase(cfg.target, env, trainer, None, cfg).rows
@@ -94,7 +94,7 @@ class TestCollectRound:
         batches = {}
         for workers in (1, 2, 4, 5):
             cfg = small_cfg(workers=workers)
-            env = make_environment(fidelity, bounds=cfg.bounds)
+            env = Environment(fidelity, bounds=cfg.bounds)
             batches[workers] = collect_round(cfg.target, env, params, cfg, 0)
         one, re_one, info_one = batches[1]
         for workers in (2, 4, 5):
@@ -121,9 +121,9 @@ class TestCollectRound:
             rng = np.random.default_rng(seed)
             params = agent.init_params(rng, action_dim=13, hidden=hidden, log_std_init=log_std)
             params.flat += 0.3 * rng.standard_normal(params.flat.size)
-            env = make_environment(fidelity, bounds=cfg.bounds)
+            env = Environment(fidelity, bounds=cfg.bounds)
             batch, re_cs, infos = collect_round(cfg.target, env, params, cfg, round_index)
-            one_env = make_environment(fidelity, bounds=cfg.bounds)
+            one_env = Environment(fidelity, bounds=cfg.bounds)
             ref = cfg.resolve_state_ref()
             for j in range(t_l):
                 rng = np.random.default_rng([seed, 1, round_index * t_l + j])  # target phase
@@ -150,7 +150,7 @@ class TestCollectRound:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = small_cfg(workers=4, t_l=20)
-        env = make_environment("low", bounds=cfg.bounds)
+        env = Environment("low", bounds=cfg.bounds)
         batch, _, _ = collect_round(cfg.target, env, agent.init_params(np.random.default_rng(0)),
                                     cfg, 0)
         assert len(batch) == 20
@@ -184,7 +184,7 @@ class TestCollectRound:
 
     def test_empty_phase_runs_zero_rounds(self):
         cfg = small_cfg(budget=0)
-        env = make_environment("low", bounds=cfg.bounds)
+        env = Environment("low", bounds=cfg.bounds)
         trainer = PpoTrainer(agent.init_params(np.random.default_rng(2)), cfg.ppo)
         from mflight.orchestrator import run_phase
         result = run_phase(cfg.target, env, trainer, None, cfg)
@@ -313,7 +313,7 @@ class TestRunCampaign:
 class TestEvaluatePolicy:
     def test_zero_episodes_no_error(self):
         params = agent.init_params(np.random.default_rng(9))
-        env = make_environment("low")
+        env = Environment("low")
         result = evaluate_policy(params, StateDistribution(5.5e6, 5e5), env, 0, 0,
                                  (5.5e6, 5e5), episodes_per_update=20)
         assert result.summary == {}
@@ -326,7 +326,7 @@ class TestEvaluatePolicy:
         params = agent.init_params(np.random.default_rng(14))
         dist = StateDistribution(8e6, 5e5)
         ref = (5.5e6, 5e5)
-        env = make_environment(fidelity, bounds=experiment_bounds())
+        env = Environment(fidelity, bounds=experiment_bounds())
         rows = []
         step_round = env.step_round
 
@@ -338,7 +338,7 @@ class TestEvaluatePolicy:
         result = evaluate_policy(params, dist, env, 45, 6, ref, -0.1, episodes_per_update=20)
         assert rows == [20, 20, 5]
 
-        one_env = make_environment(fidelity, bounds=experiment_bounds())
+        one_env = Environment(fidelity, bounds=experiment_bounds())
         expected = np.empty(45)
         for i in range(45):
             re_c = sample_state(dist, episode_rng(6, "eval", i))
@@ -357,7 +357,7 @@ class TestEvaluatePolicy:
 
     def test_deterministic(self):
         params = agent.init_params(np.random.default_rng(10))
-        env = make_environment("low")
+        env = Environment("low")
         dist = StateDistribution(5.5e6, 5e5)
         a = evaluate_policy(params, dist, env, 50, 3, (5.5e6, 5e5), episodes_per_update=20)
         b = evaluate_policy(params, dist, env, 50, 3, (5.5e6, 5e5), episodes_per_update=20)
@@ -366,7 +366,7 @@ class TestEvaluatePolicy:
 
     @staticmethod
     def _evaluate_mean_shape_raising(monkeypatch, error):
-        env = make_environment("low")
+        env = Environment("low")
 
         def failing_evaluate(shape, re_c):
             raise error("evaluate failed")
@@ -387,7 +387,7 @@ class TestEvaluatePolicy:
     def test_greedy_uses_policy_mean(self):
         params = agent.init_params(np.random.default_rng(11))
         params.log_std[:] = 2.0   # huge sampling noise would show up if sampled
-        env = make_environment("low")
+        env = Environment("low")
         dist = StateDistribution(5.5e6, 1e2)   # nearly a point mass
         result = evaluate_policy(params, dist, env, 10, 0, (5.5e6, 5e5), episodes_per_update=20)
         assert result.rewards.std() < 1e-6
@@ -422,7 +422,7 @@ class TestPersistence:
         # agents trained on farther targets lose more reward when tested back
         # on the source distribution
         source_dist = StateDistribution(5.5e6, 5e5)
-        env = make_environment("low", bounds=experiment_bounds())
+        env = Environment("low", bounds=experiment_bounds())
         source_cfg = replace(experiment_config("scratch", seed=2101, target_budget=1200),
                              target=PhaseSpec(name="target", fidelity="low",
                                               dist=source_dist, max_episodes=1200))

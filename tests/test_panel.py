@@ -111,11 +111,11 @@ class TestValidation:
 HIFI_SOLVES = """
 import hashlib
 import numpy as np
-from mflight.aeroenv import make_environment
+from mflight.aeroenv import Environment
 from mflight.geometry import DesignVector
 from mflight.panel import solve_panel
 
-env = make_environment("high")
+env = Environment("high")
 rng = np.random.default_rng(3)
 digest = hashlib.sha256()
 solved = 0

@@ -55,7 +55,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 from mflight import boundary_layer, config  # noqa: E402
-from mflight.aeroenv import make_environment  # noqa: E402
+from mflight.aeroenv import Environment  # noqa: E402
 from mflight.agent import act, forward_policy, gaussian_log_prob, load_checkpoint, value  # noqa: E402
 from mflight.ctl import TransferController  # noqa: E402
 from mflight.geometry import build_airfoil, decode  # noqa: E402
@@ -161,7 +161,7 @@ def step_round_timings():
     designs = [[rnd.uniform(-1.0, 1.0) for _ in range(13)] for _ in range(20)]
     re_cs = [rnd.uniform(5e6, 9e6) for _ in range(20)]
     for fidelity in ("low", "high"):
-        env = make_environment(fidelity, bounds=bounds)
+        env = Environment(fidelity, bounds=bounds)
         seconds = best_of(lambda n: [designs] * n, lambda d: env.step_round(d, re_cs))
         yield f"step_round B=20 fidelity={fidelity:<4s} n_points={env.n_points:<3d}", seconds
 
