@@ -117,11 +117,11 @@ class Environment:
     """One fidelity tier of the design environment.
 
     An unset ``n_points`` is the tier's own resolution, ``N_POINTS_LOW`` or
-    ``N_POINTS_HIGH``. Besides its fields it holds ``eval_count``, the number
-    of episodes priced (rows of ``step_round``) and ``evaluate`` calls, and
-    ``work``, the workspace of its ``n_points - 2`` panels that every panel
-    solve of this environment reuses. The workspace makes an environment
-    serve one caller at a time.
+    ``N_POINTS_HIGH``; ``penalty`` is the reward of a failed episode. Besides
+    its fields it holds ``eval_count``, the number of episodes priced (rows of
+    ``step_round``) and ``evaluate`` calls, and ``work``, the workspace of its
+    ``n_points - 2`` panels that every panel solve of this environment reuses.
+    The workspace makes an environment serve one caller at a time.
     """
 
     fidelity: str
@@ -129,6 +129,7 @@ class Environment:
     bounds: GeometryBounds = field(default_factory=GeometryBounds)
     alpha: float = 0.0
     blend_fraction: float = 0.02
+    penalty: float = DEFAULT_PENALTY
 
     def __post_init__(self):
         if self.fidelity not in ("low", "high"):
@@ -157,7 +158,7 @@ class Environment:
         polygon = decode(designs, self.bounds)
         return build_airfoil(polygon, self.n_points, blend_fraction=self.blend_fraction)
 
-    def step_round(self, designs, re_cs, penalty: float = DEFAULT_PENALTY) -> list:
+    def step_round(self, designs, re_cs) -> list:
         """Price every row of a (B, 13) design stack at its Reynolds number.
 
         Each row is one full episode: decode, build, evaluate; failures map to
@@ -168,10 +169,9 @@ class Environment:
         ``info["cl"]`` is None there.
         """
         shapes = self.build_shapes(designs)
-        return [self._price(shape, re_c, penalty)
-                for shape, re_c in zip(shapes, re_cs, strict=True)]
+        return [self._price(shape, re_c) for shape, re_c in zip(shapes, re_cs, strict=True)]
 
-    def step(self, design, re_c: float, penalty: float = DEFAULT_PENALTY):
+    def step(self, design, re_c: float):
         """``step_round`` on a stack of one design; returns its (reward, info).
 
         mflight itself prices every episode through ``step_round``. This entry
@@ -179,25 +179,25 @@ class Environment:
         (``bench/spans.py``, checked by ``tests/test_bench_layers.py``), and
         the benchmark's files are kept fixed between its revisions.
         """
-        (outcome,) = self.step_round(design, [re_c], penalty)
+        (outcome,) = self.step_round(design, [re_c])
         return outcome
 
-    def _price(self, shape: AirfoilShape, re_c: float, penalty: float):
+    def _price(self, shape: AirfoilShape, re_c: float):
         """Reward and info of one built shape; counts one environment evaluation."""
         self.eval_count += 1
         info = {"re_c": re_c, "valid": shape.valid, "converged": False,
                 "cd": None, "cl": None, "thickness_max": shape.thickness_max}
         if not shape.valid:
-            return penalty, info
+            return self.penalty, info
         try:
             result = self._evaluate(shape, re_c)
         except SolverError:
-            return penalty, info
+            return self.penalty, info
         info["converged"] = result.converged
         info["cd"] = result.cd
         info["cl"] = result.cl
         if not result.converged:
-            return penalty, info
+            return self.penalty, info
         return -result.cd, info
 
 

@@ -66,7 +66,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report = orch.run_campaign(cfg, out_dir=args.out)
 
-    orch.write_episodes_csv(report.rows, os.path.join(args.out, "episodes.csv"))
+    orch.write_episodes_csv(report, os.path.join(args.out, "episodes.csv"))
     orch.write_summary(report, os.path.join(args.out, "summary.txt"))
 
     # mean-predictive airfoils at the phase distribution means: built, not priced
@@ -77,7 +77,8 @@ def cmd_train(args) -> int:
         design = orch.greedy_designs(params, [spec.dist.mu], cfg.resolve_state_ref())
         (shape,) = cfg.environment(spec.fidelity).build_shapes(design)
         write_selig(shape, os.path.join(args.out, f"airfoil_{phase}_mean.dat"))
-    log.info("campaign complete: %d episodes logged to %s", len(report.rows), args.out)
+    episodes = report.target.episodes + (report.source.episodes if report.source else 0)
+    log.info("campaign complete: %d episodes logged to %s", episodes, args.out)
     return EXIT_OK
 
 
@@ -86,7 +87,7 @@ def cmd_evaluate(args) -> int:
     (dist, fidelity), episodes = cfg.evaluation(), cfg.eval_episodes
     params, _ = load_checkpoint(args.checkpoint)
     result = orch.evaluate_policy(params, dist, cfg.environment(fidelity), episodes, cfg.seed,
-                                  cfg.resolve_state_ref(), cfg.penalty,
+                                  cfg.resolve_state_ref(),
                                   episodes_per_update=cfg.episodes_per_update)
 
     os.makedirs(args.out, exist_ok=True)

@@ -34,11 +34,11 @@ class TransferController:
 
     k: int = 50
     gamma_cut: float = 0.3
-    reward_history: list = field(default_factory=list)
-    xi_history: list = field(default_factory=list)
-    beta_history: list = field(default_factory=list)
-    complete: bool = False
-    complete_episode: int | None = None
+    reward_history: list = field(default_factory=list, init=False)
+    xi_history: list = field(default_factory=list, init=False)
+    beta_history: list = field(default_factory=list, init=False)
+    complete: bool = field(default=False, init=False)
+    complete_episode: int | None = field(default=None, init=False)
     xi_max: float = field(default=0.0, init=False)
 
     def __post_init__(self):

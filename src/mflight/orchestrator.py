@@ -5,7 +5,8 @@ the T_L designs as one stack, then runs the PPO update, then the per-episode
 controller updates. Every episode draws from its own RNG stream
 keyed by (seed, phase, global episode index), so every logged number is a
 function of (seed, config) alone. The worker count W only labels episode j of
-a round as worker j // (T_L / W) in the ``worker`` column of the episode log.
+a round as worker j // (T_L / W) in the ``worker`` column of the episode log,
+and ``write_episodes_csv`` is the one place that computes the label.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ctl as ctl_mod
-from .aeroenv import AeroResult, Environment, StateDistribution, sample_state
+from .aeroenv import (DEFAULT_PENALTY, N_POINTS_HIGH, N_POINTS_LOW, AeroResult, Environment,
+                      StateDistribution, sample_state)
 from .agent import PolicyParams, act, init_params, save_checkpoint
 from .agent import value  # unused here; bench/spans.LAYERS wraps orchestrator.value by name
 from .errors import ConfigError, RunError, SchemaError, SolverError
@@ -64,7 +66,7 @@ class RunConfig:
     workers: int = 4
     episodes_per_update: int = 20      # T_L: pooled experience per policy update
     seed: int = 0
-    penalty: float = -0.1
+    penalty: float = DEFAULT_PENALTY
     hidden: tuple = (64, 64)
     log_std_init: float = -0.5
     ctl_window: int = 50
@@ -73,8 +75,8 @@ class RunConfig:
     bounds: GeometryBounds = field(default_factory=GeometryBounds)
     alpha: float = 0.0
     blend_fraction: float = 0.02
-    n_points_low: int = 62
-    n_points_high: int = 202
+    n_points_low: int = N_POINTS_LOW
+    n_points_high: int = N_POINTS_HIGH
     state_ref: tuple[float, float] | None = None
     threshold_fraction: float = 0.95
     tail_episodes: int = 500
@@ -157,10 +159,10 @@ class RunConfig:
         """The environment of one fidelity tier, at that tier's surface resolution."""
         n_points = self.n_points_low if fidelity == "low" else self.n_points_high
         return Environment(fidelity, n_points, bounds=self.bounds, alpha=self.alpha,
-                           blend_fraction=self.blend_fraction)
+                           blend_fraction=self.blend_fraction, penalty=self.penalty)
 
 
-def normalize_state(re_c: float, ref: tuple[float, float]) -> float:
+def normalize_state(re_c: float | np.ndarray, ref: tuple[float, float]) -> float | np.ndarray:
     mu_ref, sigma_ref = ref
     if sigma_ref <= 0:
         raise ConfigError("state reference sigma must be positive")
@@ -199,10 +201,10 @@ def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
     ref = cfg.resolve_state_ref()
     rngs = [episode_rng(cfg.seed, phase.name, round_index * t_l + j) for j in range(t_l)]
     re_cs = [sample_state(phase.dist, rng) for rng in rngs]
-    states = np.array([[normalize_state(re_c, ref)] for re_c in re_cs])
+    states = normalize_state(np.array(re_cs)[:, None], ref)
     drawn = act(params, states, rngs)
     values = params.value.forward_rows(states)[:, 0]
-    outcomes = env.step_round(DesignVector(drawn.clipped), re_cs, cfg.penalty)
+    outcomes = env.step_round(DesignVector(drawn.clipped), re_cs)
     rewards = np.array([reward for reward, _ in outcomes])
     batch = ExperienceBatch(states=states, actions=drawn.actions,
                             log_probs_old=drawn.log_probs, advantages=rewards - values,
@@ -211,21 +213,13 @@ def collect_round(phase: PhaseSpec, env: Environment, params: PolicyParams,
 
 
 @dataclass
-class LogRow:
-    episode: int
-    phase: str
-    fidelity: str
-    worker: int
-    re_c: float
-    reward: float
-    beta: float | None
-    clip_fraction: float
+class RoundLog:
+    """The logged values of one round, in episode order."""
 
-    def to_csv(self) -> str:
-        beta = "" if self.beta is None else repr(float(self.beta))
-        return (f"{self.episode},{self.phase},{self.fidelity},{self.worker},"
-                f"{float(self.re_c)!r},{float(self.reward)!r},{beta},"
-                f"{float(self.clip_fraction)!r}")
+    re_cs: list
+    rewards: list
+    betas: list | None         # None: the phase ran without a controller
+    clip_fraction: float
 
 
 @dataclass
@@ -234,28 +228,23 @@ class PhaseResult:
     fidelity: str
     episodes: int
     rewards: np.ndarray
-    rows: list
+    rounds: list
     complete: bool | None = None
     complete_episode: int | None = None
 
 
 def run_phase(phase: PhaseSpec, env: Environment, trainer: PpoTrainer,
-              controller: ctl_mod.TransferController | None, cfg: RunConfig,
-              episode_offset: int = 0) -> PhaseResult:
+              controller: ctl_mod.TransferController | None, cfg: RunConfig) -> PhaseResult:
     """Rounds of collect -> update -> controller updates, until done.
 
     The phase stops at the first round boundary after the controller declares
     completion, or when the episode budget runs out.
     """
-    t_l = cfg.episodes_per_update
-    rounds = phase.max_episodes // t_l
-    rows: list[LogRow] = []
-    rewards: list[float] = []
+    rounds: list[RoundLog] = []
     consecutive_aborts = 0
-    per_worker = t_l // cfg.workers
-    for r in range(rounds):
+    for r in range(phase.max_episodes // cfg.episodes_per_update):
         batch, re_cs, _ = collect_round(phase, env, trainer.params, cfg, r)
-        round_rewards = batch.returns.tolist()
+        rewards = batch.returns.tolist()
         stats = trainer.update(batch)
         if stats.aborted:
             consecutive_aborts += 1
@@ -263,19 +252,15 @@ def run_phase(phase: PhaseSpec, env: Environment, trainer: PpoTrainer,
                 raise RunError("three consecutive non-finite-gradient updates")
         else:
             consecutive_aborts = 0
-        for j, (re_c, reward) in enumerate(zip(re_cs, round_rewards)):
-            beta = controller.update(reward) if controller is not None else None
-            rows.append(LogRow(episode=episode_offset + r * t_l + j + 1,
-                               phase=phase.name, fidelity=phase.fidelity,
-                               worker=j // per_worker, re_c=re_c, reward=reward,
-                               beta=beta, clip_fraction=stats.clip_fraction))
-        rewards.extend(round_rewards)
+        betas = None if controller is None else [controller.update(reward) for reward in rewards]
+        rounds.append(RoundLog(re_cs, rewards, betas, stats.clip_fraction))
         if controller is not None and controller.complete:
             log.info("%s phase complete at episode %d (beta <= %g)",
                      phase.name, controller.complete_episode, controller.gamma_cut)
             break
+    rewards = np.array([reward for round_log in rounds for reward in round_log.rewards])
     return PhaseResult(name=phase.name, fidelity=phase.fidelity, episodes=len(rewards),
-                       rewards=np.asarray(rewards), rows=rows,
+                       rewards=rewards, rounds=rounds,
                        complete=None if controller is None else controller.complete,
                        complete_episode=None if controller is None else controller.complete_episode)
 
@@ -311,7 +296,6 @@ class CampaignReport:
     cfg: RunConfig
     source: PhaseResult | None
     target: PhaseResult
-    rows: list
     params: PolicyParams
     source_params: PolicyParams | None
     env_counts: dict
@@ -338,12 +322,10 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
     source_result = None
     source_params = None
     hifi_during_source = 0
-    episode_offset = 0
 
     if cfg.mode != "scratch":
         controller = ctl_mod.TransferController(k=cfg.ctl_window, gamma_cut=cfg.ctl_gamma_cut)
         source_result = run_phase(cfg.source, source_env, trainer, controller, cfg)
-        episode_offset = source_result.episodes
         hifi_during_source = target_env.eval_count if cfg.target.fidelity == "high" else 0
         if not controller.complete and not cfg.force_transfer:
             raise RunError(
@@ -357,8 +339,7 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
             checkpoints["source_final"] = path
         trainer = PpoTrainer(ctl_mod.transfer(trainer.params), cfg.ppo)
 
-    target_result = run_phase(cfg.target, target_env, trainer, None, cfg,
-                              episode_offset=episode_offset)
+    target_result = run_phase(cfg.target, target_env, trainer, None, cfg)
 
     if out_dir is not None:
         path = os.path.join(out_dir, "checkpoint_target_final.ckpt")
@@ -366,7 +347,6 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
         save_checkpoint(path, trainer.params, extras=extras)
         checkpoints["target_final"] = path
 
-    rows = (source_result.rows if source_result else []) + target_result.rows
     tail = target_result.rewards[-cfg.tail_episodes:]
     tail_mean = float(tail.mean()) if len(tail) else float("nan")
     tail_var = float(tail.var()) if len(tail) else float("nan")
@@ -384,7 +364,7 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
                     if e is not None and e.fidelity == "high"),
     }
 
-    return CampaignReport(cfg=cfg, source=source_result, target=target_result, rows=rows,
+    return CampaignReport(cfg=cfg, source=source_result, target=target_result,
                           params=trainer.params, source_params=source_params,
                           env_counts=counts, hifi_calls_during_source=hifi_during_source,
                           threshold=threshold, episodes_to_threshold=eps_thr,
@@ -401,13 +381,13 @@ class EvalResult:
 
 def greedy_designs(params: PolicyParams, re_cs, ref: tuple[float, float]) -> DesignVector:
     """The clipped policy means at the given Reynolds numbers, as one (B, 13) stack."""
-    states = np.array([[normalize_state(re_c, ref)] for re_c in re_cs])
+    states = normalize_state(np.array(re_cs)[:, None], ref)
     return DesignVector(np.clip(params.policy.forward_rows(states), -1.0, 1.0))
 
 
 def evaluate_policy(params: PolicyParams, dist: StateDistribution, env: Environment,
-                    n_episodes: int, seed: int, ref: tuple[float, float],
-                    penalty: float = -0.1, *, episodes_per_update: int) -> EvalResult:
+                    n_episodes: int, seed: int, ref: tuple[float, float], *,
+                    episodes_per_update: int) -> EvalResult:
     """Greedy rollout of the policy mean over sampled states.
 
     Episode i draws its state from its own RNG stream; the greedy designs are
@@ -419,7 +399,7 @@ def evaluate_policy(params: PolicyParams, dist: StateDistribution, env: Environm
     for start in range(0, n_episodes, episodes_per_update):
         stop = min(start + episodes_per_update, n_episodes)
         re_cs = [sample_state(dist, episode_rng(seed, "eval", i)) for i in range(start, stop)]
-        outcomes = env.step_round(greedy_designs(params, re_cs, ref), re_cs, penalty)
+        outcomes = env.step_round(greedy_designs(params, re_cs, ref), re_cs)
         rewards[start:stop] = [reward for reward, _ in outcomes]
 
     summary = {}
@@ -443,9 +423,21 @@ def evaluate_policy(params: PolicyParams, dist: StateDistribution, env: Environm
 # artifact persistence (CSV + structured-text summary), atomic writes
 # ---------------------------------------------------------------------------
 
-def write_episodes_csv(rows: list, path) -> None:
+def write_episodes_csv(report: CampaignReport, path) -> None:
+    """One row per episode of every round, numbered from 1 across the phases."""
+    per_worker = report.cfg.episodes_per_update // report.cfg.workers
     lines = [EPISODES_SCHEMA, ",".join(EPISODE_COLUMNS)]
-    lines.extend(row.to_csv() for row in rows)
+    episode = 0
+    for phase in filter(None, (report.source, report.target)):
+        for round_log in phase.rounds:
+            betas = round_log.betas or [None] * len(round_log.rewards)
+            for j, (re_c, reward, beta) in enumerate(zip(round_log.re_cs, round_log.rewards,
+                                                         betas)):
+                episode += 1
+                lines.append(f"{episode},{phase.name},{phase.fidelity},"
+                             f"{j // per_worker},{float(re_c)!r},{float(reward)!r},"
+                             f"{'' if beta is None else repr(float(beta))},"
+                             f"{float(round_log.clip_fraction)!r}")
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -181,9 +181,10 @@ class Adam:
     A step runs in place on two scratch vectors the optimizer owns.
     """
 
-    def __init__(self, params: PolicyParams, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: PolicyParams, lr: float):
+        self.lr = lr
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
@@ -192,20 +193,20 @@ class Adam:
     def step(self, params: PolicyParams, grad: np.ndarray) -> None:
         """m, v and the step of ``lr * (m/b1c) / (sqrt(v/b2c) + eps)``, operation by operation."""
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         step, denom = self._work
-        self.m *= self.beta1
-        self.m += np.multiply(grad, 1.0 - self.beta1, out=step)
-        self.v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=step)
+        self.m *= self.BETA1
+        self.m += np.multiply(grad, 1.0 - self.BETA1, out=step)
+        self.v *= self.BETA2
+        np.multiply(grad, 1.0 - self.BETA2, out=step)
         step *= grad
         self.v += step
         np.divide(self.m, b1c, out=step)
         step *= self.lr
         np.divide(self.v, b2c, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += self.EPS
         step /= denom
         params.flat -= step
 

@@ -11,10 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from mflight import agent, cli, ppo
-from mflight.aeroenv import Environment, StateDistribution
+from mflight import cli
+from mflight.aeroenv import Environment
 from mflight.agent import (
     forward_policy,
     gaussian_log_prob,

@@ -183,6 +183,10 @@ class TestEnvironmentStep:
         ((reward, info),) = env.step_round(DesignVector(np.zeros(13)), [6e6])
         assert reward == DEFAULT_PENALTY
         assert info["valid"] and not info["converged"]
+        env = Environment("low", penalty=-0.5)
+        env._evaluate = boom
+        ((reward, _),) = env.step_round(DesignVector(np.zeros(13)), [6e6])
+        assert reward == -0.5
         assert env.eval_count == 1
 
     def test_identical_inputs_identical_rewards(self):

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mflight import agent
 from mflight.agent import (
     GaussianActions,
     act,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mflight import agent
-from mflight.aeroenv import Environment, StateDistribution, sample_state
+from mflight.aeroenv import DEFAULT_PENALTY, Environment, StateDistribution, sample_state
 from mflight.agent import load_checkpoint
 from mflight.errors import ConfigError, RunError, SchemaError, SolverError
 from mflight.geometry import DesignVector
@@ -24,13 +24,12 @@ from mflight.orchestrator import (
     read_episodes_csv,
     read_summary,
     run_campaign,
-    summary_text,
     threshold_value,
     trailing_mean,
     write_episodes_csv,
     write_summary,
 )
-from mflight.ppo import PpoConfig, PpoTrainer
+from mflight.ppo import PpoTrainer
 
 from conftest import experiment_bounds, experiment_config
 from reference_kernels import act_reference, value_reference
@@ -79,13 +78,23 @@ class TestCollectRound:
         assert batch.actions.shape == (20, 13)
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 5])
-    def test_logged_worker_labels(self, workers):
-        cfg = small_cfg(workers=workers, t_l=20, budget=40)
-        env = Environment("low", bounds=cfg.bounds)
-        trainer = PpoTrainer(agent.init_params(np.random.default_rng(0)), cfg.ppo)
-        from mflight.orchestrator import run_phase
-        rows = run_phase(cfg.target, env, trainer, None, cfg).rows
-        assert [row.worker for row in rows] == [j // (20 // workers) for j in range(20)] * 2
+    def test_logged_worker_labels(self, workers, tmp_path):
+        labels = [j // (20 // workers) for j in range(20)]
+        path = tmp_path / "episodes.csv"
+        write_episodes_csv(run_campaign(small_cfg(workers=workers, t_l=20, budget=40)), path)
+        assert [row["worker"] for row in read_episodes_csv(path)] == labels * 2
+
+        # across a transfer the episodes number on and the labels restart every round
+        report = run_campaign(small_cfg(mode="single_fidelity_ctl", workers=workers, t_l=20,
+                                        budget=40, source_budget=60, ctl_window=10,
+                                        force_transfer=True))
+        write_episodes_csv(report, path)
+        rows = read_episodes_csv(path)
+        n_source, n_target = report.source.episodes, report.target.episodes
+        assert n_source > 0 and n_target == 40
+        assert [row["episode"] for row in rows] == list(range(1, n_source + n_target + 1))
+        assert [row["phase"] for row in rows] == ["source"] * n_source + ["target"] * n_target
+        assert [row["worker"] for row in rows] == labels * ((n_source + n_target) // 20)
 
     @pytest.mark.parametrize("fidelity", ["low", "high"])
     def test_worker_count_is_pure_throughput(self, fidelity):
@@ -130,8 +139,7 @@ class TestCollectRound:
                 re_c = sample_state(cfg.target.dist, rng)
                 state = normalize_state(re_c, ref)
                 ga = act_reference(params, state, rng)
-                ((reward, info),) = one_env.step_round(DesignVector(ga.clipped_action), [re_c],
-                                                       cfg.penalty)
+                ((reward, info),) = one_env.step_round(DesignVector(ga.clipped_action), [re_c])
                 got = (re_cs[j], float(batch.states[j, 0]), float(batch.returns[j]), infos[j])
                 assert repr(got) == repr((re_c, state, float(reward), info)), j
                 raw_advantage = float(reward) - value_reference(params, state)
@@ -226,7 +234,7 @@ class TestRunCampaign:
         cfg = small_cfg(budget=60)
         report = run_campaign(cfg)
         assert report.target.episodes == 60
-        assert len(report.rows) == 60
+        assert [len(round_log.rewards) for round_log in report.target.rounds] == [20, 20, 20]
         assert report.env_counts["target"] == 60
         assert report.env_counts["high"] == 0
 
@@ -235,10 +243,15 @@ class TestRunCampaign:
         report = run_campaign(cfg)
         assert report.env_counts["target"] == report.target.episodes
 
-    def test_determinism_byte_identical_rows(self):
-        rows_a = [r.to_csv() for r in run_campaign(small_cfg(seed=3)).rows]
-        rows_b = [r.to_csv() for r in run_campaign(small_cfg(seed=3)).rows]
-        assert rows_a == rows_b
+    def test_environment_takes_the_run_penalty(self):
+        cfg = small_cfg(penalty=-0.5)
+        assert cfg.environment("low").penalty == cfg.environment("high").penalty == -0.5
+        assert small_cfg().environment("low").penalty == DEFAULT_PENALTY
+
+    def test_determinism_byte_identical_rows(self, tmp_path):
+        write_episodes_csv(run_campaign(small_cfg(seed=3)), tmp_path / "a.csv")
+        write_episodes_csv(run_campaign(small_cfg(seed=3)), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_transfer_starts_from_source_checkpoint(self, tmp_path):
         cfg = small_cfg(mode="single_fidelity_ctl", seed=4, budget=40,
@@ -271,7 +284,7 @@ class TestRunCampaign:
                                            dist=StateDistribution(mu, 5e5), max_episodes=20))
             reports.append(run_campaign(cfg))
         assert len(reports) == 3
-        assert len({r.rows[0].re_c for r in reports}) == 3
+        assert len({r.target.rounds[0].re_cs[0] for r in reports}) == 3
 
     def test_controller_early_exit_at_round_boundary(self):
         # constant-reward controller completes inside the first full window
@@ -330,12 +343,12 @@ class TestEvaluatePolicy:
         rows = []
         step_round = env.step_round
 
-        def counted(designs, re_cs, penalty):
+        def counted(designs, re_cs):
             rows.append(len(re_cs))
-            return step_round(designs, re_cs, penalty)
+            return step_round(designs, re_cs)
 
         env.step_round = counted
-        result = evaluate_policy(params, dist, env, 45, 6, ref, -0.1, episodes_per_update=20)
+        result = evaluate_policy(params, dist, env, 45, 6, ref, episodes_per_update=20)
         assert rows == [20, 20, 5]
 
         one_env = Environment(fidelity, bounds=experiment_bounds())
@@ -344,7 +357,7 @@ class TestEvaluatePolicy:
             re_c = sample_state(dist, episode_rng(6, "eval", i))
             mean, _ = agent.forward_policy(params, normalize_state(re_c, ref))
             ((expected[i], _),) = one_env.step_round(DesignVector(np.clip(mean, -1.0, 1.0)),
-                                                     [re_c], -0.1)
+                                                     [re_c])
         assert result.rewards.tobytes() == expected.tobytes()
         assert len(set(expected.tolist())) > 1
 
@@ -397,11 +410,11 @@ class TestPersistence:
     def test_episode_csv_roundtrip(self, tmp_path):
         report = run_campaign(small_cfg(seed=12))
         path = tmp_path / "episodes.csv"
-        write_episodes_csv(report.rows, path)
+        write_episodes_csv(report, path)
         rows = read_episodes_csv(path)
-        assert len(rows) == len(report.rows)
+        assert len(rows) == report.target.episodes
         assert rows[0]["episode"] == 1
-        assert rows[-1]["reward"] == report.rows[-1].reward
+        assert rows[-1]["reward"] == report.target.rounds[-1].rewards[-1]
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "episodes.csv"

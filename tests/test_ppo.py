@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mflight import agent, ppo
+from mflight import agent
 from mflight.agent import forward_policy, gaussian_log_prob, init_params
 from mflight.errors import EmptyBatch
 from mflight.ppo import (
