@@ -63,20 +63,8 @@ def cmd_train(args) -> int:
         doc["seed"] = int(args.seed)
     cfg = config_mod.build_run_config(doc)
 
-    os.makedirs(args.out, exist_ok=True)
-    report = orch.run_campaign(cfg, out_dir=args.out)
-
-    orch.write_episodes_csv(report, os.path.join(args.out, "episodes.csv"))
-    orch.write_summary(report, os.path.join(args.out, "summary.txt"))
-
-    # mean-predictive airfoils at the phase distribution means: built, not priced
-    for phase, params in (("source", report.source_params), ("target", report.params)):
-        if params is None:
-            continue
-        spec = cfg.source if phase == "source" else cfg.target
-        design = orch.greedy_designs(params, [spec.dist.mu], cfg.resolve_state_ref())
-        (shape,) = cfg.environment(spec.fidelity).build_shapes(design)
-        write_selig(shape, os.path.join(args.out, f"airfoil_{phase}_mean.dat"))
+    report = orch.run_campaign(cfg)
+    orch.write_run(report, args.out)
     episodes = report.target.episodes + (report.source.episodes if report.source else 0)
     log.info("campaign complete: %d episodes logged to %s", episodes, args.out)
     return EXIT_OK

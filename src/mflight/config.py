@@ -34,10 +34,12 @@ _PHASE_DOC = {
 _REFERENCE: dict = {
     "schema_version": (SCHEMA_VERSION, "config document schema version"),
     "mode": ("scratch", "scratch | single_fidelity_ctl | multi_fidelity_ctl"),
-    "seed": (0, "global seed; every logged number is a function of (config, seed)"),
-    "workers": (4, "episode workers W: the episodes.csv worker column; starts no threads"),
-    "episodes_per_update": (20, "episodes pooled per policy update (T_L)"),
-    "penalty": (-0.1, "reward for invalid or non-converged episodes"),
+    "seed": (RunConfig.seed, "global seed; every logged number is a function of (config, seed)"),
+    "workers": (RunConfig.workers,
+                "episode workers W: the episodes.csv worker column; starts no threads"),
+    "episodes_per_update": (RunConfig.episodes_per_update,
+                            "episodes pooled per policy update (T_L)"),
+    "penalty": (RunConfig.penalty, "reward for invalid or non-converged episodes"),
     "source": dict(_PHASE_DOC),
     "target": dict(_PHASE_DOC),
     "state_reference": {
@@ -45,39 +47,48 @@ _REFERENCE: dict = {
         "sigma": (None, "normalization reference std"),
     },
     "ppo": {
-        "clip_epsilon": (0.2, "PPO ratio clip half-width"),
-        "learning_rate": (3e-4, "Adam step size"),
-        "epochs_per_update": (10, "full-batch gradient passes per update"),
-        "entropy_coeff": (0.0, "entropy bonus coefficient"),
-        "value_coeff": (0.5, "value-loss coefficient"),
-        "max_grad_norm": (0.5, "global gradient-norm clip"),
-        "kl_stop": (0.05, "stop an update's epochs when the KL estimate exceeds this"),
+        "clip_epsilon": (PpoConfig.clip_epsilon, "PPO ratio clip half-width"),
+        "learning_rate": (PpoConfig.learning_rate, "Adam step size"),
+        "epochs_per_update": (PpoConfig.epochs_per_update,
+                              "full-batch gradient passes per update"),
+        "entropy_coeff": (PpoConfig.entropy_coeff, "entropy bonus coefficient"),
+        "value_coeff": (PpoConfig.value_coeff, "value-loss coefficient"),
+        "max_grad_norm": (PpoConfig.max_grad_norm, "global gradient-norm clip"),
+        "kl_stop": (PpoConfig.kl_stop,
+                    "stop an update's epochs when the KL estimate exceeds this"),
     },
     "ctl": {
-        "window": (50, "look-back window k for the reward variance ratio"),
-        "gamma_cut": (0.3, "variance-ratio cut-off for declaring the source task complete"),
-        "force_transfer": (False, "transfer at source budget exhaustion even if incomplete"),
+        "window": (RunConfig.ctl_window, "look-back window k for the reward variance ratio"),
+        "gamma_cut": (RunConfig.ctl_gamma_cut,
+                      "variance-ratio cut-off for declaring the source task complete"),
+        "force_transfer": (RunConfig.force_transfer,
+                           "transfer at source budget exhaustion even if incomplete"),
     },
     "agent": {
-        "hidden": ([64, 64], "hidden layer widths of policy and value MLPs"),
-        "log_std_init": (-0.5, "initial policy log-std (state-independent)"),
+        "hidden": (list(RunConfig.hidden), "hidden layer widths of policy and value MLPs"),
+        "log_std_init": (RunConfig.log_std_init, "initial policy log-std (state-independent)"),
     },
     "geometry": {
-        "n_points_low": (62, "surface points for the low-fidelity environment (60 panels)"),
-        "n_points_high": (202, "surface points for the high-fidelity environment (200 panels)"),
-        "blend_fraction": (0.02, "arc-length fraction of chord blended into the nose circle"),
+        "n_points_low": (RunConfig.n_points_low,
+                         "surface points for the low-fidelity environment (60 panels)"),
+        "n_points_high": (RunConfig.n_points_high,
+                          "surface points for the high-fidelity environment (200 panels)"),
+        "blend_fraction": (RunConfig.blend_fraction,
+                           "arc-length fraction of chord blended into the nose circle"),
         "bounds": {
             "lo": (None, "13 lower geometric bounds (defaults to the built-in design box)"),
             "hi": (None, "13 upper geometric bounds"),
         },
     },
     "environment": {
-        "alpha_deg": (0.0, "angle of attack in degrees"),
+        "alpha_deg": (math.degrees(RunConfig.alpha), "angle of attack in degrees"),
     },
     "evaluation": {
-        "threshold_fraction": (0.95, "episodes-to-threshold fraction of the final trailing mean"),
-        "tail_episodes": (500, "tail window for the final reward distribution"),
-        "episodes": (1000, "default episode count for the evaluate command"),
+        "threshold_fraction": (RunConfig.threshold_fraction,
+                               "episodes-to-threshold fraction of the final trailing mean"),
+        "tail_episodes": (RunConfig.tail_episodes,
+                          "tail window for the final reward distribution"),
+        "episodes": (RunConfig.eval_episodes, "default episode count for the evaluate command"),
         "mu": (None, "evaluation distribution mean; defaults to the source (else target) mu"),
         "sigma": (None, "evaluation distribution std"),
         "fidelity": (None, "evaluation fidelity; defaults to the target phase fidelity"),

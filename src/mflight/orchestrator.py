@@ -7,6 +7,9 @@ keyed by (seed, phase, global episode index), so every logged number is a
 function of (seed, config) alone. The worker count W only labels episode j of
 a round as worker j // (T_L / W) in the ``worker`` column of the episode log,
 and ``write_episodes_csv`` is the one place that computes the label.
+
+``run_campaign`` only computes; ``write_run`` then writes every file of the
+run from its report, so a failed campaign leaves no output directory.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .agent import PolicyParams, act, init_params, save_checkpoint
 from .agent import value  # unused here; bench/spans.LAYERS wraps orchestrator.value by name
 from .errors import ConfigError, RunError, SchemaError, SolverError
 from .files import atomic_write
-from .geometry import AirfoilShape, DesignVector, GeometryBounds, check_n_points
+from .geometry import AirfoilShape, DesignVector, GeometryBounds, check_n_points, write_selig
 from .ppo import ExperienceBatch, PpoConfig, PpoTrainer
 
 log = logging.getLogger(__name__)
@@ -304,21 +307,20 @@ class CampaignReport:
     episodes_to_threshold: int | None
     tail_mean: float
     tail_var: float
-    checkpoints: dict = field(default_factory=dict)
+    ctl_state: dict | None   # controller state at transfer, also its final; None in scratch
 
 
-def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
-    """Execute one full campaign; optionally drop checkpoints into out_dir."""
+def run_campaign(cfg: RunConfig) -> CampaignReport:
+    """Execute one full campaign and return its report; writes no file."""
     init_rng = np.random.default_rng([cfg.seed, 9000])
     params = init_params(init_rng, state_dim=1, action_dim=13,
-                         hidden=tuple(cfg.hidden), log_std_init=cfg.log_std_init)
+                         hidden=cfg.hidden, log_std_init=cfg.log_std_init)
     trainer = PpoTrainer(params, cfg.ppo)
 
     target_env = cfg.environment(cfg.target.fidelity)
     source_env = cfg.environment(cfg.source.fidelity) if cfg.source is not None else None
 
-    checkpoints: dict[str, str] = {}
-    controller = None
+    ctl_state = None
     source_result = None
     source_params = None
     hifi_during_source = 0
@@ -332,20 +334,11 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
                 "source budget exhausted before the transfer criterion fired; "
                 "set ctl.force_transfer to transfer anyway"
             )
-        source_params = trainer.params.copy()
-        if out_dir is not None:
-            path = os.path.join(out_dir, "checkpoint_source_final.ckpt")
-            save_checkpoint(path, trainer.params, extras=controller.state_arrays())
-            checkpoints["source_final"] = path
-        trainer = PpoTrainer(ctl_mod.transfer(trainer.params), cfg.ppo)
+        ctl_state = controller.state_arrays()
+        source_params = trainer.params   # transfer copies; the source trainer is dropped
+        trainer = PpoTrainer(ctl_mod.transfer(source_params), cfg.ppo)
 
     target_result = run_phase(cfg.target, target_env, trainer, None, cfg)
-
-    if out_dir is not None:
-        path = os.path.join(out_dir, "checkpoint_target_final.ckpt")
-        extras = controller.state_arrays() if controller is not None else None
-        save_checkpoint(path, trainer.params, extras=extras)
-        checkpoints["target_final"] = path
 
     tail = target_result.rewards[-cfg.tail_episodes:]
     tail_mean = float(tail.mean()) if len(tail) else float("nan")
@@ -368,7 +361,7 @@ def run_campaign(cfg: RunConfig, out_dir=None) -> CampaignReport:
                           params=trainer.params, source_params=source_params,
                           env_counts=counts, hifi_calls_during_source=hifi_during_source,
                           threshold=threshold, episodes_to_threshold=eps_thr,
-                          tail_mean=tail_mean, tail_var=tail_var, checkpoints=checkpoints)
+                          tail_mean=tail_mean, tail_var=tail_var, ctl_state=ctl_state)
 
 
 @dataclass
@@ -492,10 +485,6 @@ def summary_text(report: CampaignReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_summary(report: CampaignReport, path) -> None:
-    atomic_write(path, summary_text(report))
-
-
 def read_summary(path) -> dict:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -506,3 +495,21 @@ def read_summary(path) -> dict:
         key, _, val = line.partition(": ")
         out[key] = val
     return out
+
+
+def write_run(report: CampaignReport, out_dir) -> None:
+    """Create ``out_dir`` and write the run: per phase with parameters its final
+    checkpoint (controller state as ``extra.*``) and its mean-predictive airfoil
+    at the phase mean (built, not priced); then episodes.csv and summary.txt."""
+    cfg = report.cfg
+    os.makedirs(out_dir, exist_ok=True)
+    for spec, params in ((cfg.source, report.source_params), (cfg.target, report.params)):
+        if params is None:
+            continue
+        save_checkpoint(os.path.join(out_dir, f"checkpoint_{spec.name}_final.ckpt"), params,
+                        extras=report.ctl_state)
+        design = greedy_designs(params, [spec.dist.mu], cfg.resolve_state_ref())
+        (shape,) = cfg.environment(spec.fidelity).build_shapes(design)
+        write_selig(shape, os.path.join(out_dir, f"airfoil_{spec.name}_mean.dat"))
+    write_episodes_csv(report, os.path.join(out_dir, "episodes.csv"))
+    atomic_write(os.path.join(out_dir, "summary.txt"), summary_text(report))

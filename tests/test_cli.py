@@ -8,7 +8,7 @@ import pytest
 from mflight import cli, orchestrator
 from mflight.aeroenv import Environment
 from mflight.agent import load_checkpoint
-from mflight.errors import CheckpointError
+from mflight.errors import CheckpointError, RunError
 
 from conftest import BENCH
 
@@ -385,10 +385,17 @@ class TestEvaluate:
         assert not (tmp_path / "ev").exists()
 
     def test_campaign_extras_are_finite(self, short_run):
+        saved = []
         for name in ("source_final", "target_final"):
             _, extras = load_checkpoint(short_run / "run" / f"checkpoint_{name}.ckpt")
             assert len(extras["ctl.rewards"]) == 40
             assert all(np.isfinite(v).all() for v in extras.values())
+            saved.append(extras)
+        # the controller is not updated in the target phase: both carry the same state
+        source, target = saved
+        assert source.keys() == target.keys()
+        for key in source:
+            np.testing.assert_array_equal(source[key], target[key])
         _, extras = load_checkpoint(BENCH / "eval.ckpt")
         assert len(extras) == 5
 
@@ -540,3 +547,25 @@ class TestAtomicity:
         _, out = scratch_run
         leftovers = [p for p in os.listdir(out) if p.endswith(".tmp")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("fail_target", [False, True],
+                             ids=["source_budget_runs_out", "target_phase_raises"])
+    def test_failed_train_creates_no_directory(self, tmp_path, monkeypatch, fail_target):
+        doc = json.loads((BENCH / "configs" / "lowfi_transfer.json").read_text())
+        doc["source"]["max_episodes"] = 40
+        doc["target"]["max_episodes"] = 20
+        doc["ctl"]["force_transfer"] = fail_target   # False: no transfer in 40 episodes
+        if fail_target:
+            run_phase = orchestrator.run_phase
+
+            def failing(phase, *args):
+                if phase.name == "target":
+                    raise RunError("injected target-phase failure")
+                return run_phase(phase, *args)
+
+            monkeypatch.setattr(orchestrator, "run_phase", failing)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 3
+        assert not out.exists()

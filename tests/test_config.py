@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +213,11 @@ class TestOverrides:
 
 
 class TestReference:
+    def test_reference_text_is_pinned(self):
+        # the printed reference is a run artifact; its defaults come from the dataclasses
+        pinned = (Path(__file__).parent / "data" / "config_reference.txt").read_bytes()
+        assert config_mod.reference_text().encode() == pinned
+
     def test_reference_documents_every_key(self):
         text = config_mod.reference_text()
         for key in ("mode", "workers", "episodes_per_update", "ppo.clip_epsilon",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -136,7 +138,7 @@ class TestBuildAirfoil:
         lower = np.array([[0.10, -0.041], [0.47, -0.052], [0.81, -0.016]])
         poly = ControlPolygon(upper=upper, lower=lower, leading_edge_radius=0.009)
         shape = build_airfoil(poly, 62)[0]
-        stored = np.loadtxt("tests/data/airfoil_snapshot.txt")
+        stored = np.loadtxt(Path(__file__).parent / "data" / "airfoil_snapshot.txt")
         assert_allclose(shape.points, stored, atol=1e-12, rtol=0)
 
     def test_polyline_closed(self):

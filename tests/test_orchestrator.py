@@ -27,7 +27,7 @@ from mflight.orchestrator import (
     threshold_value,
     trailing_mean,
     write_episodes_csv,
-    write_summary,
+    write_run,
 )
 from mflight.ppo import PpoTrainer
 
@@ -256,8 +256,9 @@ class TestRunCampaign:
     def test_transfer_starts_from_source_checkpoint(self, tmp_path):
         cfg = small_cfg(mode="single_fidelity_ctl", seed=4, budget=40,
                         source_budget=40, force_transfer=True, ctl_window=10)
-        report = run_campaign(cfg, out_dir=str(tmp_path))
-        saved, _ = load_checkpoint(report.checkpoints["source_final"])
+        report = run_campaign(cfg)
+        write_run(report, tmp_path)
+        saved, _ = load_checkpoint(tmp_path / "checkpoint_source_final.ckpt")
         for (n1, t1), (n2, t2) in zip(saved.tensors(), report.source_params.tensors()):
             assert n1 == n2
             assert_allclose(t1, t2, rtol=0, atol=0)
@@ -424,9 +425,8 @@ class TestPersistence:
 
     def test_summary_roundtrip(self, tmp_path):
         report = run_campaign(small_cfg(seed=13))
-        path = tmp_path / "summary.txt"
-        write_summary(report, path)
-        summary = read_summary(path)
+        write_run(report, tmp_path)
+        summary = read_summary(tmp_path / "summary.txt")
         assert summary["mode"] == "scratch"
         assert int(summary["target_episodes"]) == report.target.episodes
         assert float(summary["threshold"]) == report.threshold
