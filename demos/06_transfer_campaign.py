@@ -12,6 +12,7 @@ import numpy as np
 from mflight.aeroenv import StateDistribution
 from mflight.geometry import GeometryBounds
 from mflight.orchestrator import (
+    THRESHOLD_FRACTION,
     PhaseSpec,
     RunConfig,
     episodes_to_threshold,
@@ -55,7 +56,7 @@ print(f"\nsource phase: {ctl.source.episodes} episodes, transfer gate fired at "
       f"episode {ctl.source.complete_episode}")
 
 final = float(trailing_mean(scratch.target.rewards, 50)[-1])
-thr = threshold_value(final, 0.95)
+thr = threshold_value(final, THRESHOLD_FRACTION)
 e_scr = episodes_to_threshold(scratch.target.rewards, thr, 50)
 e_ctl = episodes_to_threshold(ctl.target.rewards, thr, 50)
 print(f"threshold (95% of scratch's converged level): {thr:.5f}")

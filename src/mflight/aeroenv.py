@@ -84,15 +84,15 @@ def low_fidelity_drag(thickness_max: float, re_c: float) -> float:
     return 2.0 * flat_plate_cf(re_c) * form_factor(thickness_max)
 
 
-def low_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0,
+def low_fidelity_cd(shape: AirfoilShape, re_c: float,
                     work: PanelWorkspace | None = None) -> AeroResult:
     """Low-fidelity drag, with Cl and Cp from the panel solve (in ``work``, if given)."""
-    sol = solve_panel(shape.points, alpha=alpha, work=work)
+    sol = solve_panel(shape.points, work=work)
     cd = low_fidelity_drag(shape.thickness_max, re_c)
     return AeroResult(cd=cd, cl=sol.cl, cp=sol.cp, cp_x=sol.x_mid, converged=True)
 
 
-def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0,
+def high_fidelity_cd(shape: AirfoilShape, re_c: float,
                      work: PanelWorkspace | None = None) -> AeroResult:
     """Integral-boundary-layer drag over the panel edge velocities.
 
@@ -100,7 +100,7 @@ def high_fidelity_cd(shape: AirfoilShape, re_c: float, alpha: float = 0.0,
     either surface's turbulent march separates ahead of 95% chord; the
     coefficients are still reported. A one-station surface raises SolverError.
     """
-    sol = solve_panel(shape.points, alpha=alpha, work=work)
+    sol = solve_panel(shape.points, work=work)
     nu = 1.0 / re_c
     (s_lo, ue_lo, x_lo), (s_up, ue_up, x_up) = bl.split_surfaces(sol.x_mid, sol.y_mid, sol.vt)
     if len(s_lo) < 2 or len(s_up) < 2:
@@ -117,18 +117,19 @@ class Environment:
     """One fidelity tier of the design environment.
 
     An unset ``n_points`` is the tier's own resolution, ``N_POINTS_LOW`` or
-    ``N_POINTS_HIGH``; ``penalty`` is the reward of a failed episode. Besides
-    its fields it holds ``eval_count``, the number of episodes priced (rows of
-    ``step_round``) and ``evaluate`` calls, and ``work``, the workspace of its
-    ``n_points - 2`` panels that every panel solve of this environment reuses.
+    ``N_POINTS_HIGH``; ``penalty`` is the reward of a failed episode. Both
+    tiers price at zero angle of attack with the nose blend of
+    ``geometry.BLEND_FRACTION``, so the agent sees only the Reynolds number.
+    Besides its fields it holds ``eval_count``, the number of episodes priced
+    (rows of ``step_round``) and ``evaluate`` calls, and ``work``, the
+    workspace of its ``n_points - 2`` panels that every panel solve of this
+    environment reuses.
     The workspace makes an environment serve one caller at a time.
     """
 
     fidelity: str
     n_points: int | None = None
     bounds: GeometryBounds = field(default_factory=GeometryBounds)
-    alpha: float = 0.0
-    blend_fraction: float = 0.02
     penalty: float = DEFAULT_PENALTY
 
     def __post_init__(self):
@@ -143,7 +144,7 @@ class Environment:
         """Drag, lift and surface pressure of one shape (solves the panel system)."""
         self.eval_count += 1
         if self.fidelity == "low":
-            return low_fidelity_cd(shape, re_c, alpha=self.alpha, work=self.work)
+            return low_fidelity_cd(shape, re_c, work=self.work)
         return self._evaluate(shape, re_c)
 
     def _evaluate(self, shape: AirfoilShape, re_c: float) -> AeroResult:
@@ -151,12 +152,12 @@ class Environment:
         if self.fidelity == "low":
             return AeroResult(cd=low_fidelity_drag(shape.thickness_max, re_c), cl=None,
                               cp=None, cp_x=None, converged=True)
-        return high_fidelity_cd(shape, re_c, alpha=self.alpha, work=self.work)
+        return high_fidelity_cd(shape, re_c, work=self.work)
 
     def build_shapes(self, designs) -> list[AirfoilShape]:
         """The shapes of a (B, 13) design stack, built in one call; one design is a stack of one."""
         polygon = decode(designs, self.bounds)
-        return build_airfoil(polygon, self.n_points, blend_fraction=self.blend_fraction)
+        return build_airfoil(polygon, self.n_points)
 
     def step_round(self, designs, re_cs) -> list:
         """Price every row of a (B, 13) design stack at its Reynolds number.

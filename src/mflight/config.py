@@ -1,7 +1,14 @@
 """Run configuration documents: JSON schema, validation, overrides, defaults.
 
-A config document mirrors the orchestrator's RunConfig field-for-field as
-nested key/value JSON with a schema_version. Unknown keys are rejected.
+A config document is nested key/value JSON with a schema_version; unknown
+keys are rejected. ``build_run_config`` maps it onto the orchestrator's
+RunConfig: the top-level keys keep their names, ``source`` and ``target``
+become PhaseSpecs, ``ppo`` a PpoConfig, ``geometry.bounds`` the
+GeometryBounds and ``state_reference`` the ``state_ref`` pair. The keys of
+``ctl``, ``agent`` and ``evaluation`` become flat fields, some renamed:
+``ctl.window`` is ``ctl_window``, ``agent.hidden`` is ``hidden`` and
+``evaluation.episodes`` is ``eval_episodes``. A tier's surface resolution,
+nose blend and angle of attack belong to the environment and are no keys.
 ``python -m mflight.config`` prints the generated reference of every key and
 its default.
 """
@@ -69,23 +76,12 @@ _REFERENCE: dict = {
         "log_std_init": (RunConfig.log_std_init, "initial policy log-std (state-independent)"),
     },
     "geometry": {
-        "n_points_low": (RunConfig.n_points_low,
-                         "surface points for the low-fidelity environment (60 panels)"),
-        "n_points_high": (RunConfig.n_points_high,
-                          "surface points for the high-fidelity environment (200 panels)"),
-        "blend_fraction": (RunConfig.blend_fraction,
-                           "arc-length fraction of chord blended into the nose circle"),
         "bounds": {
             "lo": (None, "13 lower geometric bounds (defaults to the built-in design box)"),
             "hi": (None, "13 upper geometric bounds"),
         },
     },
-    "environment": {
-        "alpha_deg": (math.degrees(RunConfig.alpha), "angle of attack in degrees"),
-    },
     "evaluation": {
-        "threshold_fraction": (RunConfig.threshold_fraction,
-                               "episodes-to-threshold fraction of the final trailing mean"),
         "tail_episodes": (RunConfig.tail_episodes,
                           "tail window for the final reward distribution"),
         "episodes": (RunConfig.eval_episodes, "default episode count for the evaluate command"),
@@ -225,8 +221,7 @@ def _phase(name: str, section: dict | None) -> PhaseSpec | None:
 def build_run_config(doc: dict) -> RunConfig:
     """Turn a validated document into the orchestrator's RunConfig; bad values raise ConfigError."""
     try:
-        geo = doc["geometry"]
-        bounds_doc = geo.get("bounds")
+        bounds_doc = doc["geometry"].get("bounds")
         if bounds_doc and bounds_doc.get("lo") is not None:
             lo, hi = ([as_float(v, f"geometry.bounds.{end}") for v in bounds_doc[end]]
                       for end in ("lo", "hi"))
@@ -263,13 +258,7 @@ def build_run_config(doc: dict) -> RunConfig:
             ctl_gamma_cut=as_float(doc["ctl"]["gamma_cut"], "ctl.gamma_cut"),
             force_transfer=force_transfer,
             bounds=bounds,
-            alpha=float(np.deg2rad(as_float(doc["environment"]["alpha_deg"],
-                                            "environment.alpha_deg"))),
-            blend_fraction=as_float(geo["blend_fraction"], "geometry.blend_fraction"),
-            n_points_low=as_int(geo["n_points_low"], "geometry.n_points_low"),
-            n_points_high=as_int(geo["n_points_high"], "geometry.n_points_high"),
             state_ref=state_ref,
-            threshold_fraction=as_float(ev["threshold_fraction"], "evaluation.threshold_fraction"),
             tail_episodes=as_int(ev["tail_episodes"], "evaluation.tail_episodes"),
             eval_episodes=as_int(ev["episodes"], "evaluation.episodes"),
             eval_mu=None if ev["mu"] is None else as_float(ev["mu"], "evaluation.mu"),

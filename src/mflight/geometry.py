@@ -24,6 +24,7 @@ from .errors import ConfigError, DomainError, InvalidAction
 from .files import atomic_write
 
 N_DESIGN_VARS = 13
+BLEND_FRACTION = 0.02  # arc length, in chords, over which the nose blends into its circle
 
 # Index layout of the 13-entry design vector:
 #   0..5   upper control points, LE to TE, as (x1, y1, x2, y2, x3, y3)
@@ -222,13 +223,13 @@ _SIDE_SIGN = np.array([1.0, -1.0])  # upper, lower
 _SIDE_SIGN.flags.writeable = False
 
 
-def _blend_nose_arcs(surfaces: np.ndarray, radius: np.ndarray, blend_fraction: float) -> None:
+def _blend_nose_arcs(surfaces: np.ndarray, radius: np.ndarray) -> None:
     """Blend the first part of every surface toward its nose circle, in place.
 
     ``surfaces`` is (2, B, m, 2), the upper surfaces then the lower ones, and
     ``radius`` the (B,) leading-edge radii. Each circle is tangent to the
     chord normal at the leading edge (center at (radius, 0)). Points within
-    ``s_b = min(blend_fraction, 1.5 * radius)`` of arc length from the LE are
+    ``s_b = min(BLEND_FRACTION, 1.5 * radius)`` of arc length from the LE are
     pulled toward the circle with a smoothstep weight that decays to zero at
     s_b. Every masked station of every surface is computed in one pass, with
     the per-station arithmetic of a one-surface blend.
@@ -237,7 +238,7 @@ def _blend_nose_arcs(surfaces: np.ndarray, radius: np.ndarray, blend_fraction: f
     d = after_le - surfaces[:, :, :-1]
     seg = np.sqrt((d * d).sum(axis=-1))  # np.linalg.norm(d, axis=-1), without its overhead
     s = np.cumsum(seg, axis=-1)  # arc length from the LE to each later station
-    s_b = np.minimum(blend_fraction, 1.5 * radius)
+    s_b = np.minimum(BLEND_FRACTION, 1.5 * radius)
     inside = (s > 0.0) & (s < s_b[:, None])
     if not inside.any():
         return
@@ -319,14 +320,13 @@ _STATION_STEPS = np.arange(1.0, 200.0)
 _STATION_STEPS.flags.writeable = False
 
 
-def check_n_points(n_points: int, name: str = "n_points") -> None:
+def check_n_points(n_points: int) -> None:
     """Even and >= 42: n_points make n_points - 2 panels, and the panel solver needs 40."""
     if n_points < 42 or n_points % 2 != 0:
-        raise ConfigError(f"{name} must be an even number >= 42")
+        raise ConfigError("n_points must be an even number >= 42")
 
 
-def build_airfoil(polygon: ControlPolygon, n_points: int,
-                  blend_fraction: float = 0.02) -> list[AirfoilShape]:
+def build_airfoil(polygon: ControlPolygon, n_points: int) -> list[AirfoilShape]:
     """Sample every control polygon of a stack into a closed surface polyline.
 
     Returns one shape per polygon; a single polygon is a stack of one. Each
@@ -341,7 +341,7 @@ def build_airfoil(polygon: ControlPolygon, n_points: int,
     check_n_points(n_points)
     surfaces = _surface_basis(n_points // 2) @ polygon.curves()
     radius = np.reshape(polygon.leading_edge_radius, -1)
-    _blend_nose_arcs(surfaces, radius, blend_fraction)
+    _blend_nose_arcs(surfaces, radius)
     upper, lower = surfaces
 
     # TE -> lower -> LE -> upper -> TE; endpoints are exact so the loop closes

@@ -15,20 +15,18 @@ run from its report, so a failed campaign leaves no output directory.
 from __future__ import annotations
 
 import logging
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ctl as ctl_mod
-from .aeroenv import (DEFAULT_PENALTY, N_POINTS_HIGH, N_POINTS_LOW, AeroResult, Environment,
-                      StateDistribution, sample_state)
-from .agent import PolicyParams, act, init_params, save_checkpoint
+from .aeroenv import DEFAULT_PENALTY, AeroResult, Environment, StateDistribution, sample_state
+from .agent import LOG_STD_MAX, LOG_STD_MIN, PolicyParams, act, init_params, save_checkpoint
 from .agent import value  # unused here; bench/spans.LAYERS wraps orchestrator.value by name
 from .errors import ConfigError, RunError, SchemaError, SolverError
 from .files import atomic_write
-from .geometry import AirfoilShape, DesignVector, GeometryBounds, check_n_points, write_selig
+from .geometry import AirfoilShape, DesignVector, GeometryBounds, write_selig
 from .ppo import ExperienceBatch, PpoConfig, PpoTrainer
 
 log = logging.getLogger(__name__)
@@ -40,6 +38,8 @@ EPISODES_SCHEMA = "# mflight-episodes v1"
 SUMMARY_SCHEMA = "mflight-summary v1"
 EPISODE_COLUMNS = ("episode", "phase", "fidelity", "worker", "re_c", "reward",
                    "beta", "clip_fraction")
+THRESHOLD_FRACTION = 0.95  # episodes to threshold: the fraction of the final trailing mean
+INDEX_MAX = int(np.iinfo(np.intp).max)  # the largest count numpy can size or index with
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,7 @@ class RunConfig:
     ctl_gamma_cut: float = 0.3
     force_transfer: bool = False
     bounds: GeometryBounds = field(default_factory=GeometryBounds)
-    alpha: float = 0.0
-    blend_fraction: float = 0.02
-    n_points_low: int = N_POINTS_LOW
-    n_points_high: int = N_POINTS_HIGH
     state_ref: tuple[float, float] | None = None
-    threshold_fraction: float = 0.95
     tail_episodes: int = 500
     eval_episodes: int = 1000
     eval_mu: float | None = None       # None: the source (else target) mean
@@ -110,23 +105,17 @@ class RunConfig:
                     f"{phase.name} budget {phase.max_episodes} is not a multiple of "
                     f"episodes_per_update={self.episodes_per_update}"
                 )
-        if not 0.0 < self.threshold_fraction <= 1.0:
-            raise ConfigError("threshold_fraction must lie in (0, 1]")
         if self.tail_episodes < 1:
             raise ConfigError("tail_episodes must be >= 1")
         # a valid design earns -cd < 0; a penalty >= 0 would pay failures more than any design
         if not (np.isfinite(self.penalty) and self.penalty < 0.0):
             raise ConfigError(f"penalty must be finite and negative, got {self.penalty!r}")
-        if not math.isfinite(self.log_std_init):
-            raise ConfigError(f"agent.log_std_init must be finite, got {self.log_std_init!r}")
+        # updates project log_std into its clamp range, but the first round samples with this
+        if not LOG_STD_MIN <= self.log_std_init <= LOG_STD_MAX:
+            raise ConfigError(f"agent.log_std_init must lie in [{LOG_STD_MIN:g}, "
+                              f"{LOG_STD_MAX:g}], got {self.log_std_init!r}")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"agent hidden widths must be >= 1, got {list(self.hidden)}")
-        if not (math.isfinite(self.blend_fraction) and 0.0 <= self.blend_fraction <= 1.0):
-            raise ConfigError(f"geometry.blend_fraction must lie in [0, 1], "
-                              f"got {self.blend_fraction!r}")
-        if not (math.isfinite(self.alpha) and abs(self.alpha) <= math.pi / 2):
-            raise ConfigError(f"environment.alpha_deg must lie in [-90, 90], "
-                              f"got {math.degrees(self.alpha)!r}")
         if self.ctl_window < 1:
             raise ConfigError("ctl window must be >= 1")
         if not 0.0 < self.ctl_gamma_cut < 1.0:
@@ -135,10 +124,14 @@ class RunConfig:
             mu_ref, sigma_ref = self.state_ref
             if not (np.isfinite(mu_ref) and np.isfinite(sigma_ref) and sigma_ref > 0):
                 raise ConfigError("state reference needs a finite mu and a finite sigma > 0")
-        check_n_points(self.n_points_low, "n_points_low")
-        check_n_points(self.n_points_high, "n_points_high")
         if self.eval_episodes < 0:
             raise ConfigError(f"evaluation.episodes must be >= 0, got {self.eval_episodes}")
+        # numpy sizes these arrays and windows with its index type, so no larger count can run
+        for name, count in (("agent.hidden", max(self.hidden, default=0)),
+                            ("ctl.window", self.ctl_window),
+                            ("evaluation.episodes", self.eval_episodes)):
+            if count > INDEX_MAX:
+                raise ConfigError(f"{name} must be at most {INDEX_MAX}, got {count}")
         if self.eval_fidelity not in (None, "low", "high"):
             raise ConfigError(f"evaluation.fidelity must be low or high, got {self.eval_fidelity!r}")
         self.evaluation()  # the distribution checks its own mu and sigma
@@ -159,10 +152,8 @@ class RunConfig:
                 self.eval_fidelity or self.target.fidelity)
 
     def environment(self, fidelity: str) -> Environment:
-        """The environment of one fidelity tier, at that tier's surface resolution."""
-        n_points = self.n_points_low if fidelity == "low" else self.n_points_high
-        return Environment(fidelity, n_points, bounds=self.bounds, alpha=self.alpha,
-                           blend_fraction=self.blend_fraction, penalty=self.penalty)
+        """The environment of one fidelity tier, in this run's design box and penalty."""
+        return Environment(fidelity, bounds=self.bounds, penalty=self.penalty)
 
 
 def normalize_state(re_c: float | np.ndarray, ref: tuple[float, float]) -> float | np.ndarray:
@@ -345,7 +336,7 @@ def run_campaign(cfg: RunConfig) -> CampaignReport:
     tail_var = float(tail.var()) if len(tail) else float("nan")
     tm_final = float(trailing_mean(target_result.rewards, cfg.ctl_window)[-1]) \
         if target_result.episodes else float("nan")
-    threshold = threshold_value(tm_final, cfg.threshold_fraction)   # NaN for no episodes
+    threshold = threshold_value(tm_final, THRESHOLD_FRACTION)   # NaN for no episodes
     eps_thr = episodes_to_threshold(target_result.rewards, threshold, cfg.ctl_window)
 
     counts = {

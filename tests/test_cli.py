@@ -87,8 +87,6 @@ class TestTrain:
         ["state_reference.mu=5.5e6", "state_reference.sigma=-1"],
         ["state_reference.mu=5.5e6", "state_reference.sigma=NaN"],
         ["state_reference.sigma=5e5"],
-        ["geometry.n_points_low=10"],
-        ["geometry.n_points_low=40"],
         ["evaluation.tail_episodes=0"],
         ["evaluation.tail_episodes=-5"],
         ["penalty=0"],
@@ -97,12 +95,6 @@ class TestTrain:
         ["penalty=-Infinity"],
         ["agent.hidden=[0]"],
         ["agent.hidden=[64, -1]"],
-        ["geometry.blend_fraction=5"],
-        ["geometry.blend_fraction=-1"],
-        ["geometry.blend_fraction=NaN"],
-        ["environment.alpha_deg=1e9"],
-        ["environment.alpha_deg=-91"],
-        ["environment.alpha_deg=NaN"],
         ["evaluation.episodes=-3"],
         ["evaluation.episodes=x"],
         ["evaluation.episodes=2.5"],
@@ -123,8 +115,6 @@ class TestTrain:
         ["ppo.kl_stop=false"],
         ["ppo.max_grad_norm=true"],
         ["agent.log_std_init=true"],
-        ["environment.alpha_deg=true"],
-        ["geometry.blend_fraction=true"],
         ["target.sigma=true"],
         ["evaluation.mu=true"],
         ["ppo.kl_stop=NaN"],
@@ -139,6 +129,22 @@ class TestTrain:
         ["ppo.value_coeff=-Infinity"],
         ["agent.log_std_init=NaN"],
         ["agent.log_std_init=Infinity"],
+        ["agent.log_std_init=3"],
+        ["agent.log_std_init=-6"],
+        ["agent.log_std_init=1e308"],
+        ["ctl.window=1e19"],
+        ["agent.hidden=[1e30]"],
+        # the environment's fixed physics is no key: a stale --set exits 2 as an unknown key
+        ["geometry.n_points_low=10"],
+        ["geometry.n_points_low=40"],
+        ["geometry.blend_fraction=5"],
+        ["geometry.blend_fraction=-1"],
+        ["geometry.blend_fraction=NaN"],
+        ["environment.alpha_deg=1e9"],
+        ["environment.alpha_deg=-91"],
+        ["environment.alpha_deg=NaN"],
+        ["environment.alpha_deg=true"],
+        ["geometry.blend_fraction=true"],
     ], ids=lambda overrides: " ".join(overrides))
     def test_bad_value_exits_2_before_any_compute(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "c.json")
@@ -313,8 +319,9 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
         assert not (tmp_path / "ev").exists()
 
+    # numpy rejects an array of 10**30 episodes, so the config check must reject the count first
     @pytest.mark.parametrize("key, value", [("episodes", "x"), ("mu", "abc"), ("sigma", "abc"),
-                                            ("fidelity", "medium")])
+                                            ("fidelity", "medium"), ("episodes", 10**30)])
     def test_non_numeric_evaluation_value_exits_2(self, tmp_path, capsys, monkeypatch,
                                                   key, value):
         def must_not_load(path):

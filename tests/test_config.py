@@ -13,6 +13,8 @@ from mflight.geometry import GeometryBounds
 from mflight.orchestrator import PhaseSpec, RunConfig
 from mflight.ppo import PpoConfig
 
+BENCH_CONFIGS = sorted((Path(__file__).parents[1] / "bench" / "configs").glob("*.json"))
+
 
 def minimal_doc(**target_overrides):
     target = {"fidelity": "low", "mu": 5.5e6, "sigma": 5e5, "max_episodes": 40}
@@ -31,21 +33,29 @@ class TestValidation:
         assert doc["source"] is None
 
     def test_unknown_key_rejected(self):
-        doc = minimal_doc()
-        doc["learning_rate"] = 1e-3
-        with pytest.raises(ConfigError, match="unknown config key learning_rate"):
-            config_mod.validate_document(doc)
+        # every tier prices at zero angle of attack, so there is no environment section
+        for key, value in (("learning_rate", 1e-3), ("environment", {"alpha_deg": 0.0})):
+            doc = minimal_doc()
+            doc[key] = value
+            with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+                config_mod.validate_document(doc)
 
     def test_unknown_nested_key_rejected(self):
-        # one-step episodes have no discount factor, so ppo.gamma is no key
-        for key in ("lr", "gamma"):
+        # one-step episodes have no discount factor, so ppo.gamma is no key; a tier's
+        # resolution, its nose blend and the 95% threshold are constants, so a document
+        # that sets them, even to their own values, is rejected
+        for path, value in (("ppo.lr", 0.99), ("ppo.gamma", 0.99),
+                            ("geometry.n_points_low", 62), ("geometry.n_points_high", 202),
+                            ("geometry.blend_fraction", 0.02),
+                            ("evaluation.threshold_fraction", 0.95)):
+            section, key = path.split(".")
             doc = minimal_doc()
-            doc["ppo"] = {key: 0.99}
-            with pytest.raises(ConfigError, match=f"unknown config key ppo.{key}"):
+            doc[section] = {key: value}
+            with pytest.raises(ConfigError, match=f"unknown config key {path}$"):
                 config_mod.validate_document(doc)
 
     @pytest.mark.parametrize("path", ["ppo", "ctl", "agent", "geometry", "geometry.bounds",
-                                      "environment", "evaluation"])
+                                      "evaluation"])
     def test_null_section_rejected(self, path):
         # a null ppo section used to end in an AttributeError traceback
         doc = minimal_doc()
@@ -124,12 +134,6 @@ class TestValidation:
         doc = config_mod.validate_document(minimal_doc(max_episodes=30))
         with pytest.raises(ConfigError):
             config_mod.build_run_config(doc)
-
-    def test_alpha_degrees_converted(self):
-        doc = minimal_doc()
-        doc["environment"] = {"alpha_deg": 5.0}
-        cfg = config_mod.build_run_config(config_mod.validate_document(doc))
-        assert cfg.alpha == pytest.approx(np.deg2rad(5.0))
 
     def test_custom_bounds(self):
         doc = minimal_doc()
@@ -222,8 +226,8 @@ class TestReference:
         text = config_mod.reference_text()
         for key in ("mode", "workers", "episodes_per_update", "ppo.clip_epsilon",
                     "ppo.learning_rate", "ctl.window", "ctl.gamma_cut",
-                    "agent.hidden", "geometry.n_points_low",
-                    "evaluation.threshold_fraction", "penalty"):
+                    "agent.hidden", "geometry.bounds.lo",
+                    "evaluation.tail_episodes", "penalty"):
             assert key in text
 
     def test_default_config_round_trips_json(self):
@@ -243,3 +247,9 @@ class TestReference:
         again = json.loads(json.dumps(doc))
         assert again == doc
         assert config_mod.validate_document(again) == doc
+
+
+@pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda path: path.name)
+def test_benchmark_config_builds(path):
+    # the benchmark's configs are fixed files; deleting a key they set must fail here
+    config_mod.build_run_config(config_mod.load_document(path))
