@@ -1,7 +1,8 @@
 """Command-line entry point: train, evaluate, and compare runs.
 
-Exit codes: 0 success, 2 configuration error, 3 aborted training,
-4 checkpoint or artifact-schema version mismatch.
+Exit codes: 0 success, 2 configuration error, 3 aborted training or an
+allocation the host cannot make, 4 checkpoint or artifact-schema version
+mismatch.
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ def main(argv=None) -> int:
         return EXIT_VERSION
     except MflightError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
+    except MemoryError as exc:  # a count within numpy's index range can still exceed the host
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ABORTED
 
 

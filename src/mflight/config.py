@@ -6,9 +6,10 @@ RunConfig: the top-level keys keep their names, ``source`` and ``target``
 become PhaseSpecs, ``ppo`` a PpoConfig, ``geometry.bounds`` the
 GeometryBounds and ``state_reference`` the ``state_ref`` pair. The keys of
 ``ctl``, ``agent`` and ``evaluation`` become flat fields, some renamed:
-``ctl.window`` is ``ctl_window``, ``agent.hidden`` is ``hidden`` and
-``evaluation.episodes`` is ``eval_episodes``. A tier's surface resolution,
-nose blend and angle of attack belong to the environment and are no keys.
+``ctl.window`` is ``ctl_window`` and ``evaluation.episodes`` is
+``eval_episodes``. A tier's surface resolution, nose blend and angle of attack
+belong to the environment, and the network widths and PPO's loss constants are
+init_params' and PpoConfig's fixed defaults; none of them is a key.
 ``python -m mflight.config`` prints the generated reference of every key and
 its default.
 """
@@ -40,7 +41,8 @@ _PHASE_DOC = {
 
 _REFERENCE: dict = {
     "schema_version": (SCHEMA_VERSION, "config document schema version"),
-    "mode": ("scratch", "scratch | single_fidelity_ctl | multi_fidelity_ctl"),
+    "mode": ("scratch", "scratch | single_fidelity_ctl (source and target share a fidelity) "
+                        "| multi_fidelity_ctl (source and target fidelities differ)"),
     "seed": (RunConfig.seed, "global seed; every logged number is a function of (config, seed)"),
     "workers": (RunConfig.workers,
                 "episode workers W: the episodes.csv worker column; starts no threads"),
@@ -54,13 +56,7 @@ _REFERENCE: dict = {
         "sigma": (None, "normalization reference std"),
     },
     "ppo": {
-        "clip_epsilon": (PpoConfig.clip_epsilon, "PPO ratio clip half-width"),
         "learning_rate": (PpoConfig.learning_rate, "Adam step size"),
-        "epochs_per_update": (PpoConfig.epochs_per_update,
-                              "full-batch gradient passes per update"),
-        "entropy_coeff": (PpoConfig.entropy_coeff, "entropy bonus coefficient"),
-        "value_coeff": (PpoConfig.value_coeff, "value-loss coefficient"),
-        "max_grad_norm": (PpoConfig.max_grad_norm, "global gradient-norm clip"),
         "kl_stop": (PpoConfig.kl_stop,
                     "stop an update's epochs when the KL estimate exceeds this"),
     },
@@ -72,7 +68,6 @@ _REFERENCE: dict = {
                            "transfer at source budget exhaustion even if incomplete"),
     },
     "agent": {
-        "hidden": (list(RunConfig.hidden), "hidden layer widths of policy and value MLPs"),
         "log_std_init": (RunConfig.log_std_init, "initial policy log-std (state-independent)"),
     },
     "geometry": {
@@ -246,13 +241,12 @@ def build_run_config(doc: dict) -> RunConfig:
             mode=doc["mode"],
             source=_phase("source", doc.get("source")),
             target=_phase("target", doc["target"]),
-            ppo=PpoConfig(**{k: (as_int if k == "epochs_per_update" else as_float)(v, f"ppo.{k}")
-                             for k, v in ppo_doc.items()}),
+            ppo=PpoConfig(learning_rate=as_float(ppo_doc["learning_rate"], "ppo.learning_rate"),
+                          kl_stop=as_float(ppo_doc["kl_stop"], "ppo.kl_stop")),
             workers=as_int(doc["workers"], "workers"),
             episodes_per_update=as_int(doc["episodes_per_update"], "episodes_per_update"),
             seed=as_int(doc["seed"], "seed"),
             penalty=as_float(doc["penalty"], "penalty"),
-            hidden=tuple(as_int(h, "agent.hidden") for h in doc["agent"]["hidden"]),
             log_std_init=as_float(doc["agent"]["log_std_init"], "agent.log_std_init"),
             ctl_window=as_int(doc["ctl"]["window"], "ctl.window"),
             ctl_gamma_cut=as_float(doc["ctl"]["gamma_cut"], "ctl.gamma_cut"),

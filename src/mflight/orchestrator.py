@@ -70,7 +70,6 @@ class RunConfig:
     episodes_per_update: int = 20      # T_L: pooled experience per policy update
     seed: int = 0
     penalty: float = DEFAULT_PENALTY
-    hidden: tuple = (64, 64)
     log_std_init: float = -0.5
     ctl_window: int = 50
     ctl_gamma_cut: float = 0.3
@@ -99,6 +98,13 @@ class RunConfig:
             raise ConfigError(f"mode {self.mode!r} needs a source phase")
         if self.mode == "scratch" and self.source is not None:
             raise ConfigError("scratch mode takes no source phase")
+        # the mode labels summary.txt and compare.csv, so it must name the transfer it runs
+        if self.source is not None and ((self.mode == "single_fidelity_ctl")
+                                        != (self.source.fidelity == self.target.fidelity)):
+            raise ConfigError(
+                f"mode {self.mode!r} does not fit a {self.source.fidelity} -> "
+                f"{self.target.fidelity} transfer: single_fidelity_ctl keeps one fidelity, "
+                "multi_fidelity_ctl changes it")
         for phase in filter(None, (self.source, self.target)):
             if phase.max_episodes % self.episodes_per_update != 0:
                 raise ConfigError(
@@ -114,8 +120,6 @@ class RunConfig:
         if not LOG_STD_MIN <= self.log_std_init <= LOG_STD_MAX:
             raise ConfigError(f"agent.log_std_init must lie in [{LOG_STD_MIN:g}, "
                               f"{LOG_STD_MAX:g}], got {self.log_std_init!r}")
-        if any(width < 1 for width in self.hidden):
-            raise ConfigError(f"agent hidden widths must be >= 1, got {list(self.hidden)}")
         if self.ctl_window < 1:
             raise ConfigError("ctl window must be >= 1")
         if not 0.0 < self.ctl_gamma_cut < 1.0:
@@ -127,8 +131,7 @@ class RunConfig:
         if self.eval_episodes < 0:
             raise ConfigError(f"evaluation.episodes must be >= 0, got {self.eval_episodes}")
         # numpy sizes these arrays and windows with its index type, so no larger count can run
-        for name, count in (("agent.hidden", max(self.hidden, default=0)),
-                            ("ctl.window", self.ctl_window),
+        for name, count in (("ctl.window", self.ctl_window),
                             ("evaluation.episodes", self.eval_episodes)):
             if count > INDEX_MAX:
                 raise ConfigError(f"{name} must be at most {INDEX_MAX}, got {count}")
@@ -304,8 +307,7 @@ class CampaignReport:
 def run_campaign(cfg: RunConfig) -> CampaignReport:
     """Execute one full campaign and return its report; writes no file."""
     init_rng = np.random.default_rng([cfg.seed, 9000])
-    params = init_params(init_rng, state_dim=1, action_dim=13,
-                         hidden=cfg.hidden, log_std_init=cfg.log_std_init)
+    params = init_params(init_rng, log_std_init=cfg.log_std_init)
     trainer = PpoTrainer(params, cfg.ppo)
 
     target_env = cfg.environment(cfg.target.fidelity)

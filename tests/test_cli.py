@@ -80,7 +80,6 @@ class TestTrain:
         ["ctl.window=0"],
         ["ctl.gamma_cut=1.5"],
         ["ctl.force_transfer=False"],
-        ["ppo.clip_epsilon=0"],
         ["ppo.learning_rate=-1"],
         ["workers=x"],
         ["state_reference.mu=5.5e6", "state_reference.sigma=0"],
@@ -93,8 +92,6 @@ class TestTrain:
         ["penalty=1"],
         ["penalty=NaN"],
         ["penalty=-Infinity"],
-        ["agent.hidden=[0]"],
-        ["agent.hidden=[64, -1]"],
         ["evaluation.episodes=-3"],
         ["evaluation.episodes=x"],
         ["evaluation.episodes=2.5"],
@@ -103,37 +100,27 @@ class TestTrain:
         ["episodes_per_update=20.9"],
         ["workers=2.5"],
         ["ctl.window=49.99"],
-        ["agent.hidden=[8.7]"],
         ["seed=3.9"],
-        ["ppo.epochs_per_update=3.5"],
-        ["ppo.epochs_per_update=0"],
         ["target.max_episodes=40.5"],
         ["seed=true"],
         ["seed=-5"],
         ["workers=true"],
         ["ppo.learning_rate=true"],
         ["ppo.kl_stop=false"],
-        ["ppo.max_grad_norm=true"],
         ["agent.log_std_init=true"],
         ["target.sigma=true"],
         ["evaluation.mu=true"],
         ["ppo.kl_stop=NaN"],
         ["ppo.kl_stop=-1"],
         ["ppo.kl_stop=0"],
-        ["ppo.max_grad_norm=NaN"],
-        ["ppo.max_grad_norm=-Infinity"],
-        ["ppo.max_grad_norm=0"],
         ["ppo.learning_rate=NaN"],
         ["ppo.learning_rate=Infinity"],
-        ["ppo.entropy_coeff=NaN"],
-        ["ppo.value_coeff=-Infinity"],
         ["agent.log_std_init=NaN"],
         ["agent.log_std_init=Infinity"],
         ["agent.log_std_init=3"],
         ["agent.log_std_init=-6"],
         ["agent.log_std_init=1e308"],
         ["ctl.window=1e19"],
-        ["agent.hidden=[1e30]"],
         # the environment's fixed physics is no key: a stale --set exits 2 as an unknown key
         ["geometry.n_points_low=10"],
         ["geometry.n_points_low=40"],
@@ -145,6 +132,20 @@ class TestTrain:
         ["environment.alpha_deg=NaN"],
         ["environment.alpha_deg=true"],
         ["geometry.blend_fraction=true"],
+        # so are the fixed network widths and PPO's loss constants
+        ["ppo.clip_epsilon=0"],
+        ["agent.hidden=[0]"],
+        ["agent.hidden=[64, -1]"],
+        ["agent.hidden=[8.7]"],
+        ["ppo.epochs_per_update=3.5"],
+        ["ppo.epochs_per_update=0"],
+        ["ppo.max_grad_norm=true"],
+        ["ppo.max_grad_norm=NaN"],
+        ["ppo.max_grad_norm=-Infinity"],
+        ["ppo.max_grad_norm=0"],
+        ["ppo.entropy_coeff=NaN"],
+        ["ppo.value_coeff=-Infinity"],
+        ["agent.hidden=[1e30]"],
     ], ids=lambda overrides: " ".join(overrides))
     def test_bad_value_exits_2_before_any_compute(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "c.json")
@@ -336,6 +337,20 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(value) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ev").exists()
+
+    def test_allocation_beyond_the_host_exits_3(self, tmp_path, capsys):
+        # 10**15 episodes fit numpy's index range, but their 7 PiB of rewards fit no
+        # x86-64 address space, so the allocation fails on any host
+        doc = json.loads((BENCH / "configs" / "hifi_evaluate.json").read_text())
+        doc["evaluation"]["episodes"] = 10**15
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        code = cli.main(["evaluate", "--checkpoint", str(BENCH / "eval.ckpt"),
+                         "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "ev")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "ev").exists()
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,9 @@ from mflight.orchestrator import PhaseSpec, RunConfig
 from mflight.ppo import PpoConfig
 
 BENCH_CONFIGS = sorted((Path(__file__).parents[1] / "bench" / "configs").glob("*.json"))
+README_EXAMPLES = re.findall(r"^```json\n(.*?)^```$",
+                             (Path(__file__).parents[1] / "README.md").read_text(),
+                             re.DOTALL | re.MULTILINE)
 
 
 def minimal_doc(**target_overrides):
@@ -27,7 +31,8 @@ class TestValidation:
         doc = config_mod.validate_document(minimal_doc())
         assert doc["workers"] == 4
         assert doc["episodes_per_update"] == 20
-        assert doc["ppo"]["clip_epsilon"] == 0.2
+        assert doc["ppo"] == {"learning_rate": 3e-4, "kl_stop": 0.05}
+        assert doc["agent"] == {"log_std_init": -0.5}
         assert doc["ctl"]["window"] == 50
         assert doc["ctl"]["gamma_cut"] == 0.3
         assert doc["source"] is None
@@ -43,11 +48,15 @@ class TestValidation:
     def test_unknown_nested_key_rejected(self):
         # one-step episodes have no discount factor, so ppo.gamma is no key; a tier's
         # resolution, its nose blend and the 95% threshold are constants, so a document
-        # that sets them, even to their own values, is rejected
+        # that sets them, even to their own values, is rejected; so is one that sets the
+        # fixed network widths or PPO's loss constants
         for path, value in (("ppo.lr", 0.99), ("ppo.gamma", 0.99),
                             ("geometry.n_points_low", 62), ("geometry.n_points_high", 202),
                             ("geometry.blend_fraction", 0.02),
-                            ("evaluation.threshold_fraction", 0.95)):
+                            ("evaluation.threshold_fraction", 0.95),
+                            ("agent.hidden", [64, 64]), ("ppo.clip_epsilon", 0.2),
+                            ("ppo.epochs_per_update", 10), ("ppo.entropy_coeff", 0.0),
+                            ("ppo.value_coeff", 0.5), ("ppo.max_grad_norm", 0.5)):
             section, key = path.split(".")
             doc = minimal_doc()
             doc[section] = {key: value}
@@ -92,7 +101,6 @@ class TestValidation:
         assert cfg.mode == "scratch"
         assert cfg.target.dist.mu == 5.5e6
         assert cfg.ppo.learning_rate == 3e-4
-        assert cfg.hidden == (64, 64)
 
     def test_documented_defaults_are_the_run_config_defaults(self):
         cfg = config_mod.build_run_config(config_mod.validate_document(minimal_doc()))
@@ -114,13 +122,26 @@ class TestValidation:
         doc = minimal_doc()
         cfg = config_mod.build_run_config(config_mod.validate_document(doc))
         assert cfg.evaluation() == (StateDistribution(5.5e6, 5e5), "low")
-        doc.update(mode="single_fidelity_ctl",
+        doc.update(mode="multi_fidelity_ctl",
                    source={"fidelity": "low", "mu": 4e6, "sigma": 3e5, "max_episodes": 20},
                    target={"fidelity": "high", "mu": 8e6, "sigma": 5e5, "max_episodes": 20},
                    evaluation={"mu": 7e6, "episodes": 0})
         cfg = config_mod.build_run_config(config_mod.validate_document(doc))
         assert cfg.evaluation() == (StateDistribution(7e6, 3e5), "high")
         assert cfg.eval_episodes == 0
+
+    @pytest.mark.parametrize("mode, source_fidelity, target_fidelity", [
+        ("single_fidelity_ctl", "low", "high"),
+        ("multi_fidelity_ctl", "low", "low"),
+    ], ids=["single low to high", "multi low to low"])
+    def test_ctl_mode_must_match_its_phases(self, mode, source_fidelity, target_fidelity):
+        # the mode labels summary.txt and compare.csv, so a mislabelled transfer is rejected
+        doc = minimal_doc(fidelity=target_fidelity)
+        doc.update(mode=mode, source={"fidelity": source_fidelity, "mu": 5.5e6, "sigma": 5e5,
+                                      "max_episodes": 40})
+        with pytest.raises(ConfigError, match=f"mode '{mode}' does not fit a "
+                                              f"{source_fidelity} -> {target_fidelity}"):
+            config_mod.build_run_config(config_mod.validate_document(doc))
 
     def test_run_config_is_frozen_and_replace_checks_again(self):
         cfg = config_mod.build_run_config(config_mod.validate_document(minimal_doc()))
@@ -167,10 +188,10 @@ class TestValidation:
 
     def test_infinity_means_no_kl_stop_and_no_clipping(self):
         doc = config_mod.validate_document(minimal_doc())
-        doc = config_mod.apply_overrides(doc, ["ppo.kl_stop=Infinity",
-                                               "ppo.max_grad_norm=Infinity"])
+        # the gradient-norm clip is no key; test_kernels' oracle grid covers unclipped updates
+        doc = config_mod.apply_overrides(doc, ["ppo.kl_stop=Infinity"])
         cfg = config_mod.build_run_config(doc)
-        assert cfg.ppo.kl_stop == cfg.ppo.max_grad_norm == math.inf
+        assert cfg.ppo.kl_stop == math.inf
 
     @pytest.mark.parametrize("seed", [-1, -2**40])
     def test_negative_seed_rejected(self, seed):
@@ -224,11 +245,12 @@ class TestReference:
 
     def test_reference_documents_every_key(self):
         text = config_mod.reference_text()
-        for key in ("mode", "workers", "episodes_per_update", "ppo.clip_epsilon",
-                    "ppo.learning_rate", "ctl.window", "ctl.gamma_cut",
-                    "agent.hidden", "geometry.bounds.lo",
-                    "evaluation.tail_episodes", "penalty"):
+        for key in ("mode", "workers", "episodes_per_update", "ppo.learning_rate",
+                    "ppo.kl_stop", "ctl.window", "ctl.gamma_cut", "agent.log_std_init",
+                    "geometry.bounds.lo", "evaluation.tail_episodes", "penalty"):
             assert key in text
+        for key in ("ppo.clip_epsilon", "agent.hidden"):
+            assert key not in text
 
     def test_default_config_round_trips_json(self):
         # validation fills every default in: the reference's every key, and nothing else
@@ -253,3 +275,10 @@ class TestReference:
 def test_benchmark_config_builds(path):
     # the benchmark's configs are fixed files; deleting a key they set must fail here
     config_mod.build_run_config(config_mod.load_document(path))
+
+
+@pytest.mark.parametrize("block", README_EXAMPLES,
+                         ids=[f"example {i + 1}" for i in range(len(README_EXAMPLES))])
+def test_readme_example_builds(block):
+    # a deleted or renamed key must not leave a stale example in the README
+    config_mod.build_run_config(config_mod.validate_document(json.loads(block)))

@@ -159,7 +159,7 @@ NO_SCIPY = """
 import json, sys
 from mflight import cli
 imported = "scipy" in sys.modules
-doc = {"schema_version": 1, "mode": "scratch", "seed": 5, "agent": {"hidden": [8]},
+doc = {"schema_version": 1, "mode": "scratch", "seed": 5,
        "target": {"fidelity": "high", "mu": 5.5e6, "sigma": 5e5, "max_episodes": 20},
        "evaluation": {"episodes": 4}}
 with open("cfg.json", "w") as fh:
