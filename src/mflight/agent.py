@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError
-from .files import atomic_write
+from .files import atomic_write, read_text
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -227,11 +227,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    lines = read_text(path, CheckpointError, "checkpoint").splitlines()
     if not lines or lines[0] != CKPT_HEADER:
         raise CheckpointError(f"bad checkpoint header in {path}")
     arrays: dict[str, np.ndarray] = {}

@@ -1,8 +1,8 @@
 """Command-line entry point: train, evaluate, and compare runs.
 
 Exit codes: 0 success, 2 configuration error, 3 aborted training or an
-allocation the host cannot make, 4 checkpoint or artifact-schema version
-mismatch.
+allocation the host cannot make, 4 an unreadable checkpoint or run file, or
+a checkpoint or artifact-schema version mismatch.
 """
 
 from __future__ import annotations

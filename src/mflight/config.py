@@ -24,6 +24,7 @@ import numpy as np
 
 from .aeroenv import StateDistribution
 from .errors import ConfigError
+from .files import read_text
 from .geometry import GeometryBounds
 from .orchestrator import PhaseSpec, RunConfig
 from .ppo import PpoConfig
@@ -148,11 +149,9 @@ def validate_document(doc: dict) -> dict:
 
 
 def load_document(path) -> dict:
+    text = read_text(path, ConfigError, "config")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_document(doc)

@@ -47,10 +47,6 @@ class TransferController:
         if not 0.0 < self.gamma_cut < 1.0:
             raise ValueError("gamma_cut must lie in (0, 1)")
 
-    @property
-    def episode(self) -> int:
-        return len(self.reward_history)
-
     def update(self, reward: float) -> float:
         """Record one episode reward and return the new variance ratio.
 

@@ -7,9 +7,9 @@ leading-edge radius makes 13. Actions arrive as normalized values in [-1, 1]
 and are mapped affinely onto configurable geometric ranges.
 
 :func:`build_airfoil` takes a stack of designs, a single design being a stack
-of one. The sampling, the nose blend and the validity checks (finiteness,
-monotone surfaces, positive thickness, no crossing of the two surfaces) each
-run once over the whole stack.
+of one. The sampling, the nose blend and the finiteness and monotonicity
+checks run once over the whole stack; the thickness and crossing checks share
+one interpolation per surface of each shape.
 """
 
 from __future__ import annotations
@@ -254,67 +254,6 @@ def _blend_nose_arcs(surfaces: np.ndarray, radius: np.ndarray) -> None:
     after_le[inside] = w[:, None] * circle + (1.0 - w[:, None]) * after_le[inside]
 
 
-def _candidate_pairs(x: np.ndarray):
-    """The lower x upper segment pairs that can cross, for every polyline of a stack.
-
-    ``x`` is the (B, 2h + 1) node x of :func:`build_airfoil` polylines whose
-    two surfaces are strictly x-monotone: segments 0..h-1 run TE -> LE along
-    the lower surface, segments h..2h-1 run LE -> TE along the upper one. Two
-    non-adjacent segments of one surface then have disjoint x-ranges and
-    cannot cross, and neither can a lower and an upper segment whose x-ranges
-    are disjoint. So the candidates are the lower x upper pairs whose closed
-    x-ranges overlap, less the pairs that share a node: the two segments at
-    the leading edge and the two that close the loop at the trailing edge.
-    Returns (row, lower segment, upper segment) index arrays, ordered by row,
-    then lower segment, then upper segment.
-    """
-    b, n = x.shape
-    h = (n - 1) // 2
-    # one searchsorted per side over the whole stack: complex keys (row, x) sort row
-    # by row and then by x, ties included; a stack of one needs no row part
-    key = x
-    if b > 1:
-        key = np.empty(x.shape, dtype=complex)
-        key.real = np.arange(b)[:, None]
-        key.imag = x
-    first = np.arange(0, b * h, h)[:, None]
-    # lower segment k spans [x[k + 1], x[k]]; upper segment h + j spans [x[h + j], x[h + j + 1]]
-    start = np.searchsorted(key[:, h + 1:].ravel(), key[:, 1:h + 1], side="left") - first
-    stop = np.searchsorted(key[:, h:2 * h].ravel(), key[:, :h], side="right") - first
-    np.maximum(start[:, h - 1], 1, out=start[:, h - 1])  # not the LE pair (h - 1, h)
-    np.minimum(stop[:, 0], h - 1, out=stop[:, 0])         # not the TE pair (0, 2h - 1)
-    counts = np.maximum(stop - start, 0).ravel()
-    lower = np.repeat(np.arange(b * h), counts)
-    # upper runs start, start + 1, ... within each lower segment's block of pairs
-    upper = np.arange(len(lower)) + np.repeat(h + start.ravel() - (np.cumsum(counts) - counts),
-                                              counts)
-    rows, lower = np.divmod(lower, h)
-    return rows, lower, upper
-
-
-def _surfaces_cross(points: np.ndarray) -> np.ndarray:
-    """Proper-intersection test between the lower and the upper surface of every polyline.
-
-    ``points`` is a (B, 2h + 1, 2) stack of strictly x-monotone
-    :func:`build_airfoil` polylines; returns a (B,) bool array. Two segments
-    cross properly when each one's end points lie strictly on opposite sides
-    of the other: the proper-crossing predicate, evaluated on the
-    :func:`_candidate_pairs` of the whole stack at once.
-    """
-    rows, lower, upper = _candidate_pairs(points[..., 0])
-    seg = np.stack([lower, upper]) + rows * points.shape[1]
-    x, y = points.reshape(-1, 2).T
-    # (2, K): start (p) and end (q) of each pair's lower and upper segment
-    px, py, qx, qy = x[seg], y[seg], x[seg + 1], y[seg + 1]
-    # (a - o) x (b - o) with o, a the start and end of one segment and b an end of the other
-    ax, ay = qx - px, qy - py
-    d_start = ax * (py[::-1] - py) - ay * (px[::-1] - px)
-    d_end = ax * (qy[::-1] - py) - ay * (qx[::-1] - px)
-    crossed = np.zeros(len(points), dtype=bool)
-    crossed[rows[(d_start * d_end < 0.0).all(axis=0)]] = True
-    return crossed
-
-
 # k of the 199 interior thickness stations x_lo + k * (x_hi - x_lo) / 200
 _STATION_STEPS = np.arange(1.0, 200.0)
 _STATION_STEPS.flags.writeable = False
@@ -332,11 +271,16 @@ def build_airfoil(polygon: ControlPolygon, n_points: int) -> list[AirfoilShape]:
     Returns one shape per polygon; a single polygon is a stack of one. Each
     surface gets n_points/2 cosine-clustered stations; the nose is blended
     toward a circle of the polygon's leading-edge radius. The basis product,
-    the blend and every validity check run once over the whole stack: the
-    finiteness and monotonicity checks over all shapes, then the thickness
-    and crossing checks over the shapes that passed them. Only the thickness
-    profile is interpolated shape by shape. Degenerate geometry (crossed
-    surfaces, self-intersection) is reported via ``valid``, never raised.
+    the blend and the finiteness and monotonicity checks run once over the
+    whole stack. For each shape that passed them, one interpolation per
+    surface gives the gap (upper minus lower) at 199 thickness stations, which
+    give the thickness, and at the interior nodes of both surfaces. The gap of
+    two x-monotone surfaces is linear between the union of their nodes, so
+    they cross properly only if a node gap is negative, and a negative node
+    gap beside a positive thickness is a crossing: a shape is valid when its
+    thickness is positive and no node gap is negative. A crossing exactly
+    through a node, which a segment-pair proper-crossing test calls touching,
+    is flagged too. Degenerate geometry is reported via ``valid``, never raised.
     """
     check_n_points(n_points)
     surfaces = _surface_basis(n_points // 2) @ polygon.curves()
@@ -357,14 +301,16 @@ def build_airfoil(polygon: ControlPolygon, n_points: int) -> list[AirfoilShape]:
     x_lo = np.maximum(up[:, 0, 0], lo[:, 0, 0])
     step = (np.minimum(up[:, -1, 0], lo[:, -1, 0]) - x_lo) / 200
     stations = _STATION_STEPS * step[:, None] + x_lo[:, None]
-    gap = np.empty_like(stations)
-    for g, at, su, sl in zip(gap, stations, up, lo):
-        np.subtract(np.interp(at, su[:, 0], su[:, 1]), np.interp(at, sl[:, 0], sl[:, 1]), out=g)
+    n = stations.shape[1]
+    # the stations, then the interior nodes of both surfaces; each row becomes the gaps there
+    gap = np.concatenate([stations, up[:, 1:-1, 0], lo[:, 1:-1, 0]], axis=1)
+    for g, su, sl in zip(gap, up, lo):
+        np.subtract(np.interp(g, su[:, 0], su[:, 1]), np.interp(g, sl[:, 0], sl[:, 1]), out=g)
     thickness = np.zeros((2, len(points)))  # min, max
-    thickness[0, rows] = thickness_min = gap.min(axis=1)
-    thickness[1, rows] = gap.max(axis=1)
+    thickness[0, rows] = thickness_min = gap[:, :n].min(axis=1)
+    thickness[1, rows] = gap[:, :n].max(axis=1)
     valid = np.zeros(len(points), dtype=bool)
-    valid[rows] = (thickness_min > 0.0) & ~_surfaces_cross(points[rows])
+    valid[rows] = (thickness_min > 0.0) & (gap[:, n:] >= 0.0).all(axis=1)
     return [AirfoilShape(points=row, valid=v, thickness_min=t_min, thickness_max=t_max)
             for row, v, (t_min, t_max) in zip(points, valid.tolist(), thickness.T.tolist())]
 

@@ -25,7 +25,7 @@ from .aeroenv import DEFAULT_PENALTY, AeroResult, Environment, StateDistribution
 from .agent import LOG_STD_MAX, LOG_STD_MIN, PolicyParams, act, init_params, save_checkpoint
 from .agent import value  # unused here; bench/spans.LAYERS wraps orchestrator.value by name
 from .errors import ConfigError, RunError, SchemaError, SolverError
-from .files import atomic_write
+from .files import atomic_write, read_text
 from .geometry import AirfoilShape, DesignVector, GeometryBounds, write_selig
 from .ppo import ExperienceBatch, PpoConfig, PpoTrainer
 
@@ -429,8 +429,7 @@ def write_episodes_csv(report: CampaignReport, path) -> None:
 
 def read_episodes_csv(path):
     """Rows of the episodes log as a list of dicts; rejects unknown schemas."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, SchemaError, "episodes log").splitlines()
     if not lines or lines[0] != EPISODES_SCHEMA:
         raise SchemaError(f"{path}: unknown episodes.csv schema")
     if len(lines) < 2 or lines[1] != ",".join(EPISODE_COLUMNS):
@@ -479,8 +478,7 @@ def summary_text(report: CampaignReport) -> str:
 
 
 def read_summary(path) -> dict:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, SchemaError, "summary").splitlines()
     if not lines or lines[0] != SUMMARY_SCHEMA:
         raise SchemaError(f"{path}: unknown summary schema")
     out = {}

@@ -144,24 +144,6 @@ def segments_cross_reference(points: np.ndarray) -> bool:
     return bool((proper & ~adjacent).any())
 
 
-def candidate_pairs_reference(points: np.ndarray):
-    """Every (lower, upper) segment pair of a polyline whose closed x-ranges overlap.
-
-    Segments 0..h-1 are the lower surface and h..2h-1 the upper one. Left out
-    are the two pairs that share a node: (h - 1, h) at the leading edge and
-    (0, 2h - 1) at the trailing edge. Returns the lower and the upper
-    segment indices, ordered by lower and then upper segment.
-    """
-    h = (len(points) - 1) // 2
-    x = points[:, 0]
-    lo = np.minimum(x[:-1], x[1:])
-    hi = np.maximum(x[:-1], x[1:])
-    overlap = (lo[:h, None] <= hi[None, h:]) & (lo[None, h:] <= hi[:h, None])
-    overlap[h - 1, 0] = overlap[0, h - 1] = False
-    lower, upper = np.nonzero(overlap)
-    return lower, upper + h
-
-
 def michel_retheta_crit(re_x: float) -> float:
     """Transition threshold on Re_theta as a function of Re_x (Michel's line)."""
     re_x = max(re_x, 1.0)

@@ -525,6 +525,18 @@ class TestCompare:
         assert capsys.readouterr().err == f"error: {broken / 'summary.txt'}: {message}\n"
         assert not (tmp_path / "t.csv").exists()
 
+    def test_run_without_summary_exits_4(self, tmp_path, scratch_run, capsys):
+        _, out = scratch_run
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "episodes.csv").write_text((out / "episodes.csv").read_text())
+        code = cli.main(["compare", str(out), str(broken), "--out", str(tmp_path / "t.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read summary {broken / 'summary.txt'}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
     def test_zero_target_run_compares_without_warnings(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "run"

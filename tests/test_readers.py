@@ -4,7 +4,8 @@ The inputs are the files of one short real run (the ``short_run`` fixture),
 each damaged by one mutation: a truncation, a deleted, duplicated or swapped
 line, one token replaced, or, in the JSON config, one value replaced by a value
 of any JSON type. Each input either loads or raises an ``MflightError``
-subclass; a checkpoint that loads holds finite values only.
+subclass; a checkpoint that loads holds finite values only. A file that is
+missing, or holds a byte that is not UTF-8, raises its reader's typed error.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from mflight.agent import load_checkpoint
 from mflight.config import build_run_config, load_document
-from mflight.errors import MflightError
+from mflight.errors import CheckpointError, ConfigError, MflightError, SchemaError
 from mflight.orchestrator import read_episodes_csv, read_summary
 
 
@@ -36,6 +37,13 @@ READERS = {
     "run/episodes.csv": read_episodes_csv,
     "run/summary.txt": read_summary,
     "config.json": load_config,
+}
+# file of the short run -> the error its reader raises when it cannot read the file
+UNREADABLE = {
+    "run/checkpoint_target_final.ckpt": CheckpointError,
+    "run/episodes.csv": SchemaError,
+    "run/summary.txt": SchemaError,
+    "config.json": ConfigError,
 }
 
 TOKEN = re.compile(r"[^\s,:\[\]{}]+")  # a run of characters between separators
@@ -92,6 +100,21 @@ def mutate(text: str, mutation, name: str) -> str:
 @pytest.mark.parametrize("name", READERS)
 def test_real_files_load(short_run, name):
     READERS[name](short_run / name)
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_missing_file_raises_its_typed_error(tmp_path, name):
+    with pytest.raises(UNREADABLE[name], match="cannot read .*No such file"):
+        READERS[name](tmp_path / "missing")
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_non_utf8_byte_raises_its_typed_error(short_run, tmp_path, name):
+    data = (short_run / name).read_bytes()
+    damaged = tmp_path / "damaged"
+    damaged.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    with pytest.raises(UNREADABLE[name], match="cannot read .*can't decode byte 0xff"):
+        READERS[name](damaged)
 
 
 @pytest.mark.parametrize("name", READERS)
