@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .files import atomic_write, read_text
+from .geometry import N_DESIGN_VARS
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -132,7 +133,7 @@ class PolicyParams:
         return bool(np.isfinite(self.flat).all())
 
 
-def init_params(rng: np.random.Generator, state_dim: int = 1, action_dim: int = 13,
+def init_params(rng: np.random.Generator, state_dim: int = 1, action_dim: int = N_DESIGN_VARS,
                 hidden: tuple[int, ...] = (64, 64), log_std_init: float = -0.5) -> PolicyParams:
     """Orthogonal weights, drawn for the policy layers and then the value layers; zero biases."""
     params = PolicyParams((state_dim, *hidden, action_dim))

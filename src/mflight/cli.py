@@ -1,8 +1,9 @@
 """Command-line entry point: train, evaluate, and compare runs.
 
 Exit codes: 0 success, 2 configuration error, 3 aborted training or an
-allocation the host cannot make, 4 an unreadable checkpoint or run file, or
-a checkpoint or artifact-schema version mismatch.
+allocation the host cannot make, 4 an unreadable checkpoint or run file, a
+checkpoint of state or action widths the environment cannot act with, or a
+checkpoint or artifact-schema version mismatch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .aeroenv import write_cp_csv
 from .agent import load_checkpoint
 from .errors import CheckpointError, ConfigError, MflightError, SchemaError
 from .files import atomic_write
-from .geometry import write_selig
+from .geometry import N_DESIGN_VARS, write_selig
 
 log = logging.getLogger("mflight")
 
@@ -75,6 +76,12 @@ def cmd_evaluate(args) -> int:
     cfg = config_mod.build_run_config(config_mod.load_document(args.config))
     (dist, fidelity), episodes = cfg.evaluation(), cfg.eval_episodes
     params, _ = load_checkpoint(args.checkpoint)
+    # the state is the one normalized Reynolds number, an action one design vector
+    widths = (params.policy.sizes[0], params.action_dim)
+    if widths != (1, N_DESIGN_VARS):
+        raise CheckpointError(
+            f"checkpoint {args.checkpoint} has state width {widths[0]} and action width "
+            f"{widths[1]}; the environment needs state width 1 and action width {N_DESIGN_VARS}")
     result = orch.evaluate_policy(params, dist, cfg.environment(fidelity), episodes, cfg.seed,
                                   cfg.resolve_state_ref(),
                                   episodes_per_update=cfg.episodes_per_update)

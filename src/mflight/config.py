@@ -8,8 +8,9 @@ GeometryBounds and ``state_reference`` the ``state_ref`` pair. The keys of
 ``ctl``, ``agent`` and ``evaluation`` become flat fields, some renamed:
 ``ctl.window`` is ``ctl_window`` and ``evaluation.episodes`` is
 ``eval_episodes``. A tier's surface resolution, nose blend and angle of attack
-belong to the environment, and the network widths and PPO's loss constants are
-init_params' and PpoConfig's fixed defaults; none of them is a key.
+belong to the environment, the network widths are init_params' defaults, and
+the PPO update's clip, epochs, value coefficient and gradient-norm clip are
+constants of ``ppo``; none of them is a key.
 ``python -m mflight.config`` prints the generated reference of every key and
 its default.
 """
@@ -136,7 +137,8 @@ def _merge(ref: dict, given, path: str) -> dict:
 def validate_document(doc: dict) -> dict:
     """Fill defaults, reject unknown keys, and sanity-check the document."""
     merged = _merge(_REFERENCE, doc, "")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    # as an integer key: JSON true would pass an == 1 test
+    if as_int(doc.get("schema_version"), "config schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"config schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
         )
@@ -215,13 +217,15 @@ def _phase(name: str, section: dict | None) -> PhaseSpec | None:
 def build_run_config(doc: dict) -> RunConfig:
     """Turn a validated document into the orchestrator's RunConfig; bad values raise ConfigError."""
     try:
-        bounds_doc = doc["geometry"].get("bounds")
-        if bounds_doc and bounds_doc.get("lo") is not None:
+        bounds_doc = doc["geometry"]["bounds"]
+        if bounds_doc["lo"] is None and bounds_doc["hi"] is None:
+            bounds = GeometryBounds()
+        elif bounds_doc["lo"] is None or bounds_doc["hi"] is None:
+            raise ConfigError("geometry.bounds needs both lo and hi")
+        else:
             lo, hi = ([as_float(v, f"geometry.bounds.{end}") for v in bounds_doc[end]]
                       for end in ("lo", "hi"))
             bounds = GeometryBounds(lo=np.array(lo), hi=np.array(hi))
-        else:
-            bounds = GeometryBounds()
 
         ref_doc = doc.get("state_reference")
         state_ref = None

@@ -1,11 +1,14 @@
-"""PPO update step: clipped surrogate, value loss, entropy bonus, Adam ascent.
+"""PPO update step: clipped surrogate, value loss, Adam ascent.
 
 The loss is
     -mean_t[ min(r_t A_t, clip(r_t, 1-eps, 1+eps) A_t) ]
-    + value_coeff * mean[(V(s) - G)^2] - entropy_coeff * mean[entropy]
-with r_t = exp(logpi_new - logpi_old). Gradients are assembled by hand from
-the agent's MLP backward passes; at the min/clip kinks the unclipped branch
-wins ties. One pooled batch is one minibatch (the batches here are tiny).
+    + VALUE_COEFF * mean[(V(s) - G)^2]
+with r_t = exp(logpi_new - logpi_old), eps = CLIP_EPSILON and no entropy
+bonus. The update is fixed: EPOCHS full-batch steps, each gradient clipped to
+norm MAX_GRAD_NORM; only the Adam step size and the KL stop are settings.
+Gradients are assembled by hand from the agent's MLP backward passes; at the
+min/clip kinks the unclipped branch wins ties. One pooled batch is one
+minibatch (the batches here are tiny).
 The gradient and Adam's moments are vectors laid out like ``PolicyParams.flat``:
 a step, a finite check, a backup and a rollback are whole-vector operations.
 """
@@ -18,36 +21,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agent import LOG_STD_MAX, LOG_STD_MIN, LOG_2PI, PolicyParams, gaussian_log_prob
+from .agent import LOG_STD_MAX, LOG_STD_MIN, PolicyParams, gaussian_log_prob
 from .errors import EmptyBatch
 
 log = logging.getLogger(__name__)
 
 RATIO_CAP = 1e6
+CLIP_EPSILON = 0.2
+EPOCHS = 10
+VALUE_COEFF = 0.5
+MAX_GRAD_NORM = 0.5
 
 
 @dataclass
 class PpoConfig:
-    clip_epsilon: float = 0.2
     learning_rate: float = 3e-4
-    epochs_per_update: int = 10
-    entropy_coeff: float = 0.0
-    value_coeff: float = 0.5
-    max_grad_norm: float = 0.5
     kl_stop: float = 0.05
 
     def __post_init__(self):
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ValueError("clip_epsilon must lie in (0, 1)")
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
-        if self.epochs_per_update < 1:
-            raise ValueError("epochs_per_update must be >= 1")
-        if not (math.isfinite(self.entropy_coeff) and math.isfinite(self.value_coeff)):
-            raise ValueError("entropy_coeff and value_coeff must be finite")
-        # infinity means no clipping and no KL stop
-        if not (self.max_grad_norm > 0.0 and self.kl_stop > 0.0):
-            raise ValueError("max_grad_norm and kl_stop must be > 0")
+        # infinity means no KL stop
+        if not self.kl_stop > 0.0:
+            raise ValueError("kl_stop must be > 0")
 
 
 @dataclass
@@ -87,7 +83,6 @@ class UpdateStats:
     clip_fraction: float
     policy_loss: float
     value_loss: float
-    entropy: float
     kl: float
     epochs_run: int = 0
     aborted: bool = False
@@ -100,7 +95,7 @@ def policy_pass(batch: ExperienceBatch, params: PolicyParams):
     return cache, mean, gaussian_log_prob(batch.actions, mean, params.log_std)
 
 
-def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConfig,
+def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams,
                       grad: PolicyParams | None = None, forward=None):
     """Total loss, exact parameter gradients, and diagnostics for one batch.
 
@@ -113,16 +108,14 @@ def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConf
     if len(batch) == 0:
         raise EmptyBatch("empty experience batch")
     b = len(batch)
-    eps = cfg.clip_epsilon
     adv = batch.advantages
 
     pol_cache, mean, logp_new = policy_pass(batch, params) if forward is None else forward
-    log_std = params.log_std
-    std = np.exp(log_std)
+    std = np.exp(params.log_std)
 
     ratio = prob_ratio(logp_new, batch.log_probs_old)
     surr_raw = ratio * adv
-    surr_clip = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps) * adv
+    surr_clip = np.minimum(np.maximum(ratio, 1.0 - CLIP_EPSILON), 1.0 + CLIP_EPSILON) * adv
     policy_loss = -(np.minimum(surr_raw, surr_clip).sum() / b)
 
     val_cache: list = []
@@ -130,9 +123,7 @@ def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConf
     err = v - batch.returns
     value_loss = (err ** 2).sum() / b
 
-    entropy = float(log_std.sum() + 0.5 * params.action_dim * (LOG_2PI + 1.0))
-
-    loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy
+    loss = policy_loss + VALUE_COEFF * value_loss
 
     # --- gradients ---
     # unclipped branch wins ties, and only it carries gradient
@@ -144,25 +135,23 @@ def clipped_surrogate(batch: ExperienceBatch, params: PolicyParams, cfg: PpoConf
     if grad is None:
         grad = params.views(np.empty_like(params.flat))
     params.policy.backward(pol_cache, dmean, grad.policy)
-    # d logp/d log_std = z^2 - 1, and d entropy/d log_std = 1
+    # d logp/d log_std = z^2 - 1
     (dlogp[:, None] * (z * z - 1.0)).sum(axis=0, out=grad.log_std)
-    grad.log_std -= cfg.entropy_coeff
-    params.value.backward(val_cache, ((2.0 * cfg.value_coeff / b) * err)[:, None], grad.value)
+    params.value.backward(val_cache, ((2.0 * VALUE_COEFF / b) * err)[:, None], grad.value)
 
     stats = UpdateStats(
         mean_ratio=float(ratio.sum() / b),
-        clip_fraction=float((np.abs(ratio - 1.0) > eps).sum() / b),
+        clip_fraction=float((np.abs(ratio - 1.0) > CLIP_EPSILON).sum() / b),
         policy_loss=float(policy_loss),
         value_loss=float(value_loss),
-        entropy=entropy,
         kl=float((batch.log_probs_old - logp_new).sum() / b),
     )
     return float(loss), grad.flat, stats
 
 
-def clip_grad_norm(grad: np.ndarray, params: PolicyParams, max_norm: float,
+def clip_grad_norm(grad: np.ndarray, params: PolicyParams,
                    square: np.ndarray | None = None) -> float:
-    """Scale ``grad`` (laid out like ``params.flat``) to norm at most ``max_norm``.
+    """Scale ``grad`` (laid out like ``params.flat``) to norm at most ``MAX_GRAD_NORM``.
 
     ``grad * grad`` goes into ``square`` (a fresh vector when None) and is summed
     array by array in layout order: one sum over the whole vector would round
@@ -170,8 +159,8 @@ def clip_grad_norm(grad: np.ndarray, params: PolicyParams, max_norm: float,
     """
     square = np.multiply(grad, grad, out=square)
     total = math.sqrt(sum(float(square[start:end].sum()) for _, start, end, _ in params.spans))
-    if total > max_norm > 0.0:
-        grad *= max_norm / total
+    if total > MAX_GRAD_NORM:
+        grad *= MAX_GRAD_NORM / total
     return total
 
 
@@ -226,23 +215,22 @@ class PpoTrainer:
         self._grad_square = np.empty_like(params.flat)
 
     def update(self, batch: ExperienceBatch) -> UpdateStats:
-        """Run epochs of full-batch gradient steps; roll back on bad gradients.
+        """Run up to EPOCHS full-batch gradient steps; roll back on bad gradients.
 
         An epoch's KL check runs the policy pass that the next epoch's loss
         needs, at the same parameters, so the loss takes it over.
         """
-        cfg = self.cfg
         params = self.params
         batch = replace(batch, advantages=normalize_advantages(batch.advantages))
         backup = (params.flat.copy(), self.opt.t, self.opt.m.copy(), self.opt.v.copy())
         epochs_run = 0
         forward = None
-        for _ in range(cfg.epochs_per_update):
-            loss, grad, stats = clipped_surrogate(batch, params, cfg, self._grad, forward)
+        for _ in range(EPOCHS):
+            loss, grad, stats = clipped_surrogate(batch, params, self._grad, forward)
             if not np.isfinite(loss) or not np.isfinite(grad).all():
                 log.warning("non-finite loss or gradient: restoring previous parameters")
                 return self._roll_back(backup, stats, epochs_run)
-            clip_grad_norm(grad, params, cfg.max_grad_norm, self._grad_square)
+            clip_grad_norm(grad, params, self._grad_square)
             self.opt.step(params, grad)
             np.maximum(params.log_std, LOG_STD_MIN, out=params.log_std)
             np.minimum(params.log_std, LOG_STD_MAX, out=params.log_std)
@@ -252,7 +240,7 @@ class PpoTrainer:
                 return self._roll_back(backup, stats, epochs_run)
             forward = policy_pass(batch, params)
             stats.kl = float((batch.log_probs_old - forward[2]).sum() / len(batch))
-            if stats.kl > cfg.kl_stop:
+            if stats.kl > self.cfg.kl_stop:
                 break
         stats.epochs_run = epochs_run
         return stats

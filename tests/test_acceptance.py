@@ -33,7 +33,7 @@ from mflight.orchestrator import (
     trailing_mean,
 )
 from mflight.panel import solve_panel
-from mflight.ppo import PpoConfig, clipped_surrogate
+from mflight.ppo import clipped_surrogate
 
 from conftest import (
     PAIRED_SEEDS,
@@ -138,7 +138,6 @@ def test_criterion_1_panel_solver_analytic_validation():
 def test_criterion_2_gradient_exactness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    cfg = PpoConfig(entropy_coeff=0.01)
     worst = {"log_prob": 0.0, "value_mse": 0.0, "surrogate": 0.0}
     n_nets = 20
     for _ in range(n_nets):
@@ -156,14 +155,14 @@ def test_criterion_2_gradient_exactness():
             return float(((v - batch.returns) ** 2).mean())
 
         def surrogate_loss(p):
-            return clipped_surrogate(batch, p, cfg)[0]
+            return clipped_surrogate(batch, p)[0]
 
         for name, fn in (("log_prob", logp_loss), ("value_mse", value_loss),
                          ("surrogate", surrogate_loss)):
             grad = params.views(np.zeros_like(params.flat))
             # analytic gradient via the surrogate machinery or direct backprop
             if name == "surrogate":
-                grad.flat[...] = clipped_surrogate(batch, params, cfg)[1]
+                grad.flat[...] = clipped_surrogate(batch, params)[1]
             elif name == "value_mse":
                 cache = []
                 v = params.value.forward(batch.states, cache=cache)[:, 0]

@@ -7,7 +7,7 @@ import pytest
 
 from mflight import cli, orchestrator
 from mflight.aeroenv import Environment
-from mflight.agent import load_checkpoint
+from mflight.agent import init_params, load_checkpoint, save_checkpoint
 from mflight.errors import CheckpointError, RunError
 
 from conftest import BENCH
@@ -464,6 +464,34 @@ class TestEvaluate:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("state_dim, action_dim", [(2, 13), (1, 12)],
+                             ids=["state_width_2", "action_width_12"])
+    def test_widths_the_environment_cannot_act_with_exit_4(self, tmp_path, capsys, state_dim,
+                                                          action_dim):
+        # a well-formed checkpoint of other widths would fail only inside the first episode
+        ckpt = tmp_path / "w.ckpt"
+        save_checkpoint(ckpt, init_params(np.random.default_rng(0), state_dim=state_dim,
+                                          action_dim=action_dim))
+        code = cli.main(["evaluate", "--checkpoint", str(ckpt),
+                         "--config", str(BENCH / "configs" / "hifi_evaluate.json"),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"state width {state_dim} and action width {action_dim};" in err
+        assert "needs state width 1 and action width 13" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ev").exists()
+
+    def test_hidden_widths_are_free(self, tmp_path):
+        ckpt = tmp_path / "w.ckpt"
+        save_checkpoint(ckpt, init_params(np.random.default_rng(0), hidden=(8, 5, 3)))
+        code = cli.main(["evaluate", "--checkpoint", str(ckpt),
+                         "--config", str(write_config(tmp_path / "cfg.json")),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 0
+        assert (tmp_path / "ev" / "eval_summary.txt").exists()
 
 
 class TestCompare:

@@ -92,6 +92,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="schema_version"):
             config_mod.validate_document(doc)
 
+    def test_boolean_schema_version_rejected(self):
+        # JSON true == 1 in Python, so an equality test alone would accept it
+        doc = minimal_doc()
+        doc["schema_version"] = True
+        with pytest.raises(ConfigError, match="schema_version must be an integer, got True"):
+            config_mod.validate_document(doc)
+
     def test_target_required(self):
         with pytest.raises(ConfigError, match="target"):
             config_mod.validate_document({"schema_version": 1, "mode": "scratch"})
@@ -165,6 +172,15 @@ class TestValidation:
         cfg = config_mod.build_run_config(config_mod.validate_document(doc))
         assert cfg.bounds.lo[12] == 0.002
 
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_bounds_with_one_end_rejected(self, end):
+        # one end alone must not fall back to the built-in box for the other
+        doc = minimal_doc()
+        box = GeometryBounds()
+        doc["geometry"] = {"bounds": {end: getattr(box, end).tolist()}}
+        with pytest.raises(ConfigError, match="^geometry.bounds needs both lo and hi$"):
+            config_mod.build_run_config(config_mod.validate_document(doc))
+
     @pytest.mark.parametrize("index, value", [(0, -0.05), (4, -0.001), (10, 1.0001)])
     def test_bounds_with_an_x_outside_the_chord_rejected(self, index, value):
         lo, hi = GeometryBounds().lo.tolist(), GeometryBounds().hi.tolist()
@@ -186,9 +202,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="must be a number"):
             config_mod.build_run_config(config_mod.validate_document(doc))
 
-    def test_infinity_means_no_kl_stop_and_no_clipping(self):
+    def test_infinity_means_no_kl_stop(self):
         doc = config_mod.validate_document(minimal_doc())
-        # the gradient-norm clip is no key; test_kernels' oracle grid covers unclipped updates
         doc = config_mod.apply_overrides(doc, ["ppo.kl_stop=Infinity"])
         cfg = config_mod.build_run_config(doc)
         assert cfg.ppo.kl_stop == math.inf
@@ -251,6 +266,11 @@ class TestReference:
             assert key in text
         for key in ("ppo.clip_epsilon", "agent.hidden"):
             assert key not in text
+
+    def test_ppo_settings_are_the_ppo_keys(self):
+        # a PpoConfig field no document can set would be a knob only tests turn
+        fields = [f.name for f in dataclasses.fields(PpoConfig)]
+        assert fields == list(config_mod._REFERENCE["ppo"])
 
     def test_default_config_round_trips_json(self):
         # validation fills every default in: the reference's every key, and nothing else

@@ -22,6 +22,7 @@ from mflight.agent import forward_policy, gaussian_log_prob, init_params
 from mflight.ctl import TransferController
 from mflight.errors import ConfigError, InvalidAction, SolverError
 from mflight.geometry import (
+    ControlPolygon,
     GeometryBounds,
     _cosine_params,
     _surface_basis,
@@ -172,6 +173,53 @@ class TestSegmentsCross:
                                                       widened_bounds(), n_points)
             assert outcomes.count("non-monotone") < len(outcomes) // 6
             assert {"valid", "crossed"} <= set(outcomes)
+
+
+def node_gaps(shape, n_points):
+    """Upper minus lower surface at the interior nodes of the upper, then of the lower one."""
+    h = n_points // 2 - 1
+    lo, up = shape.points[h::-1], shape.points[h:]
+    at = np.concatenate([up[1:-1, 0], lo[1:-1, 0]])
+    return np.interp(at, up[:, 0], up[:, 1]) - np.interp(at, lo[:, 0], lo[:, 1])
+
+
+def reflected(upper, lower):
+    """The polygon reflected in the chord: the gaps stay, the upper and lower nodes swap."""
+    flip = np.array([1.0, -1.0])
+    return np.array(lower) * flip, np.array(upper) * flip
+
+
+class TestNodeGapRule:
+    """Hand-built polygons at the two edges of the node-gap rule that random draws miss."""
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_a_zero_node_gap_is_touching(self, reflect):
+        # a flat upper surface over the lower one y = -(x - 1/2)^2 x (1 - x) / 2, in
+        # Bernstein form; at 202 points its computed value at the mid-chord node is 0.0
+        upper = [[0.25, 0.0], [0.5, 0.0], [0.75, 0.0]]
+        lower = [[0.25, -0.03125], [0.5, 1 / 24], [0.75, -0.03125]]
+        if reflect:
+            upper, lower = reflected(upper, lower)
+        polygon = ControlPolygon(upper=upper, lower=lower, leading_edge_radius=1e-4)
+        (shape,) = build_airfoil(polygon, 202)
+        gaps = node_gaps(shape, 202)
+        assert gaps.min() == 0.0 and shape.thickness_min > 0.0
+        assert shape.valid and build_airfoil_reference(polygon, 202).valid
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_a_crossing_before_the_first_station_is_seen_at_the_first_node(self, reflect):
+        # the upper surface runs below the lower one from the LE to x ~ 0.004, short of the
+        # first thickness station at x = 0.005; only the first interior upper node lies there
+        upper = [[0.25, -0.001], [0.5, 0.2], [0.75, 0.05]]
+        lower = [[0.5, 0.0], [0.75, -0.02], [0.9, -0.01]]
+        if reflect:
+            upper, lower = reflected(upper, lower)
+        polygon = ControlPolygon(upper=upper, lower=lower, leading_edge_radius=1e-4)
+        (shape,) = build_airfoil(polygon, 62)
+        gaps = node_gaps(shape, 62)
+        assert np.nonzero(gaps < 0.0)[0].tolist() == [29 if reflect else 0]
+        assert shape.thickness_min > 0.0
+        assert not shape.valid and not build_airfoil_reference(polygon, 62).valid
 
 
 class TestStackedBuild:
@@ -453,8 +501,7 @@ def oracle_batch(rng, params, size):
                            advantages=0.3 * rng.standard_normal(size), returns=rewards)
 
 
-def run_update_oracle(seed, hidden, action_dim, sizes, lr, max_grad_norm, kl_stop, epochs,
-                      nan_at=-1, overflow_at=-1):
+def run_update_oracle(seed, hidden, action_dim, sizes, lr, kl_stop, nan_at=-1, overflow_at=-1):
     """The same updates on ``PpoTrainer`` and the per-array reference, bit-equal after each.
 
     Update ``nan_at`` gets a NaN advantage (a rollback before any step), and
@@ -462,8 +509,7 @@ def run_update_oracle(seed, hidden, action_dim, sizes, lr, max_grad_norm, kl_sto
     first step). Returns the stats and the number of clipped gradient norms.
     """
     rng = np.random.default_rng(seed)
-    cfg = PpoConfig(learning_rate=lr, max_grad_norm=max_grad_norm, kl_stop=kl_stop,
-                    epochs_per_update=epochs)
+    cfg = PpoConfig(learning_rate=lr, kl_stop=kl_stop)
     params = init_params(rng, action_dim=action_dim, hidden=hidden)
     params.flat += 0.3 * rng.standard_normal(params.flat.size)
     np.clip(params.log_std, -2.0, 1.0, out=params.log_std)
@@ -497,16 +543,12 @@ class TestPpoUpdate:
            action_dim=st.integers(1, 13),
            sizes=st.lists(st.integers(1, 25), min_size=2, max_size=5),
            lr=st.floats(1e-4, 0.3),
-           max_grad_norm=st.sampled_from([0.1, 0.5, 10.0, math.inf]),
            kl_stop=st.sampled_from([0.001, 0.05, math.inf]),
-           epochs=st.integers(1, 10),
            nan_at=st.integers(-1, 4),
            overflow_at=st.integers(-1, 4))
     def test_bitwise_equal_to_per_array_update(self, seed, hidden, action_dim, sizes, lr,
-                                               max_grad_norm, kl_stop, epochs, nan_at,
-                                               overflow_at):
-        run_update_oracle(seed, hidden, action_dim, sizes, lr, max_grad_norm, kl_stop, epochs,
-                          nan_at, overflow_at)
+                                               kl_stop, nan_at, overflow_at):
+        run_update_oracle(seed, hidden, action_dim, sizes, lr, kl_stop, nan_at, overflow_at)
 
     @pytest.mark.parametrize("kl_stop", [0.05, math.inf])
     @pytest.mark.parametrize("nan_at, overflow_at", [(-1, -1), (0, -1), (-1, 0)],
@@ -516,8 +558,7 @@ class TestPpoUpdate:
         # the trainer's buffers and the policy pass the KL check hands on must
         # never carry one update's values into the next
         history, _ = run_update_oracle(31, (16, 12), 13, [20, 20, 20], lr=1e-3,
-                                       max_grad_norm=0.5, kl_stop=kl_stop, epochs=10,
-                                       nan_at=nan_at, overflow_at=overflow_at)
+                                       kl_stop=kl_stop, nan_at=nan_at, overflow_at=overflow_at)
         aborted = [s.aborted for s in history]
         assert aborted == [k == max(nan_at, overflow_at) for k in range(3)]
         assert max(s.epochs_run for s in history[1:]) == 10
@@ -529,8 +570,8 @@ class TestPpoUpdate:
             hidden = tuple(int(h) for h in rng.integers(1, 33, size=int(rng.integers(1, 4))))
             history, clipped = run_update_oracle(
                 seed, hidden, int(rng.integers(1, 14)), [int(n) for n in rng.integers(1, 26, 4)],
-                lr=float(10 ** rng.uniform(-4, -0.5)), max_grad_norm=0.5,
-                kl_stop=[0.001, 0.05][seed % 2], epochs=10, nan_at=1, overflow_at=2)
+                lr=float(10 ** rng.uniform(-4, -0.5)),
+                kl_stop=[0.001, 0.05][seed % 2], nan_at=1, overflow_at=2)
             seen["clipped"] += clipped
             seen["kl_stop"] += sum(not s.aborted and s.epochs_run < 10 for s in history)
             seen["nan_rollback"] += sum(s.aborted and s.epochs_run == 0 for s in history)

@@ -6,6 +6,8 @@ from mflight import agent
 from mflight.agent import forward_policy, gaussian_log_prob, init_params
 from mflight.errors import EmptyBatch
 from mflight.ppo import (
+    MAX_GRAD_NORM,
+    VALUE_COEFF,
     Adam,
     ExperienceBatch,
     PpoConfig,
@@ -62,10 +64,10 @@ class TestClippedSurrogate:
         batch = random_batch(rng, params, size=16)
         batch.log_probs_old = gaussian_log_prob(
             batch.actions, params.policy.forward(batch.states), params.log_std)
-        cfg = PpoConfig(value_coeff=0.0, entropy_coeff=0.0)
-        loss, _, stats = clipped_surrogate(batch, params, cfg)
+        loss, _, stats = clipped_surrogate(batch, params)
         assert stats.mean_ratio == pytest.approx(1.0, abs=1e-12)
-        assert loss == pytest.approx(-batch.advantages.mean(), abs=1e-10)
+        assert loss - VALUE_COEFF * stats.value_loss == pytest.approx(-batch.advantages.mean(),
+                                                                     abs=1e-10)
 
     def test_positive_advantage_clipped_branch(self):
         # A=+1, r=1.5, eps=0.2: policy term = -min(1.5, 1.2) = -1.2 and the
@@ -73,9 +75,8 @@ class TestClippedSurrogate:
         rng = np.random.default_rng(2)
         params = random_small_params(rng)
         batch = single_record_batch(params, adv=+1.0, ratio=1.5)
-        cfg = PpoConfig(clip_epsilon=0.2, value_coeff=0.0, entropy_coeff=0.0)
-        loss, grad, _ = clipped_surrogate(batch, params, cfg)
-        assert loss == pytest.approx(-1.2, abs=1e-9)
+        loss, grad, stats = clipped_surrogate(batch, params)
+        assert loss - VALUE_COEFF * stats.value_loss == pytest.approx(-1.2, abs=1e-9)
         for name, g in params.views(grad).tensors():
             if name.startswith("policy") or name == "log_std":
                 assert_allclose(g, 0.0, atol=1e-15)
@@ -85,9 +86,8 @@ class TestClippedSurrogate:
         rng = np.random.default_rng(3)
         params = random_small_params(rng)
         batch = single_record_batch(params, adv=-1.0, ratio=0.5)
-        cfg = PpoConfig(clip_epsilon=0.2, value_coeff=0.0, entropy_coeff=0.0)
-        loss, grad, _ = clipped_surrogate(batch, params, cfg)
-        assert loss == pytest.approx(0.8, abs=1e-9)
+        loss, grad, stats = clipped_surrogate(batch, params)
+        assert loss - VALUE_COEFF * stats.value_loss == pytest.approx(0.8, abs=1e-9)
         for name, g in params.views(grad).tensors():
             if name.startswith("policy") or name == "log_std":
                 assert_allclose(g, 0.0, atol=1e-15)
@@ -96,24 +96,22 @@ class TestClippedSurrogate:
         rng = np.random.default_rng(4)
         params = random_small_params(rng)
         batch = single_record_batch(params, adv=+1.0, ratio=1.1)
-        cfg = PpoConfig(clip_epsilon=0.2, value_coeff=0.0, entropy_coeff=0.0)
-        loss, grad, _ = clipped_surrogate(batch, params, cfg)
-        assert loss == pytest.approx(-1.1, abs=1e-9)
+        loss, grad, stats = clipped_surrogate(batch, params)
+        assert loss - VALUE_COEFF * stats.value_loss == pytest.approx(-1.1, abs=1e-9)
         total = sum(float(np.abs(g).sum()) for n, g in params.views(grad).tensors()
                     if n.startswith("policy"))
         assert total > 0.0
 
     def test_full_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        cfg = PpoConfig(entropy_coeff=0.01)
         for _ in range(3):
             params = random_small_params(rng)
             batch = random_batch(rng, params)
 
             def loss_fn(p):
-                return clipped_surrogate(batch, p, cfg)[0]
+                return clipped_surrogate(batch, p)[0]
 
-            _, grad, _ = clipped_surrogate(batch, params, cfg)
+            _, grad, _ = clipped_surrogate(batch, params)
             rel = max_rel_error(grad, fd_gradient(loss_fn, params))
             assert rel <= 1e-4
 
@@ -123,19 +121,18 @@ class TestClippedSurrogate:
                                 log_probs_old=np.zeros(0), advantages=np.zeros(0),
                                 returns=np.zeros(0))
         with pytest.raises(EmptyBatch):
-            clipped_surrogate(batch, params, PpoConfig())
+            clipped_surrogate(batch, params)
 
     def test_clipping_envelope(self):
         # samples pushed past the clip band with favorable advantage carry no
         # gradient, so the per-sample objective respects the clip envelope
         rng = np.random.default_rng(7)
         params = random_small_params(rng)
-        cfg = PpoConfig(clip_epsilon=0.2, value_coeff=0.0)
         for ratio, adv in [(2.0, 1.0), (0.3, -1.0), (1.15, 1.0), (0.9, -0.5)]:
             batch = single_record_batch(params, adv=adv, ratio=ratio)
-            loss, _, _ = clipped_surrogate(batch, params, cfg)
+            loss, _, stats = clipped_surrogate(batch, params)
             envelope = max(ratio * adv, np.clip(ratio, 0.8, 1.2) * adv)
-            assert -loss <= envelope + 1e-9
+            assert -(loss - VALUE_COEFF * stats.value_loss) <= envelope + 1e-9
 
 
 class TestNormalizeAdvantages:
@@ -189,8 +186,7 @@ class TestUpdate:
     def test_kl_early_stop(self):
         rng = np.random.default_rng(12)
         params = init_params(rng, action_dim=3, hidden=(8,))
-        trainer = PpoTrainer(params, PpoConfig(learning_rate=5e-2, kl_stop=0.01,
-                                               epochs_per_update=10))
+        trainer = PpoTrainer(params, PpoConfig(learning_rate=5e-2, kl_stop=0.01))
         batch = random_batch(rng, trainer.params)
         stats = trainer.update(batch)
         assert stats.epochs_run < 10
@@ -249,9 +245,9 @@ class TestAdam:
         params = init_params(np.random.default_rng(18), action_dim=1, hidden=(1,))
         grad = np.zeros_like(params.flat)
         grad[:2] = [3.0, 4.0]
-        total = clip_grad_norm(grad, params, 1.0)
+        total = clip_grad_norm(grad, params)
         assert total == pytest.approx(5.0)
-        assert_allclose(grad[:2], np.array([0.6, 0.8]))
+        assert_allclose(grad[:2], MAX_GRAD_NORM * np.array([0.6, 0.8]))
         assert not grad[2:].any()
 
     def test_uniform_gradient_step_size(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mflight.agent import load_checkpoint, value
-from mflight.ppo import PpoConfig, PpoTrainer
+from mflight.ppo import EPOCHS, PpoConfig, PpoTrainer
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,8 +43,14 @@ def test_layer_timings_builds_a_ppo_batch(tools):
     assert ((-0.1 <= batch.returns) & (batch.returns <= 0.0)).all()
     values = np.array([value(params, float(s)) for s in batch.states[:, 0]])
     assert batch.advantages.tobytes() == (batch.returns - values).tobytes()
-    stats = PpoTrainer(params.copy(), PpoConfig(epochs_per_update=1)).update(batch)
-    assert stats.epochs_run == 1 and not stats.aborted
+    stats = PpoTrainer(params.copy(), PpoConfig(kl_stop=np.inf)).update(batch)
+    assert stats.epochs_run == EPOCHS and not stats.aborted
+
+
+def test_layer_timings_times_a_full_ppo_update(tools):
+    (label, seconds), = tools["layer_timings"].ppo_timing()
+    assert label.startswith(f"ppo_update epochs={EPOCHS} batch=20 ")
+    assert seconds > 0.0
 
 
 def test_artifact_digests_hashes_a_file(tools, tmp_path):

@@ -61,7 +61,7 @@ from mflight.ctl import TransferController  # noqa: E402
 from mflight.geometry import build_airfoil, decode  # noqa: E402
 from mflight.orchestrator import episode_rng  # noqa: E402
 from mflight.panel import PanelWorkspace, solve_panel  # noqa: E402
-from mflight.ppo import ExperienceBatch, PpoConfig, PpoTrainer  # noqa: E402
+from mflight.ppo import EPOCHS, ExperienceBatch, PpoConfig, PpoTrainer  # noqa: E402
 
 CONFIG = os.path.join(ROOT, "bench", "configs", "lowfi_transfer.json")
 CHECKPOINT = os.path.join(ROOT, "bench", "eval.ckpt")
@@ -202,8 +202,8 @@ def ppo_timing():
     batch = ppo_batch(params, 20, 2024)
     cfg = PpoConfig(learning_rate=1e-3, kl_stop=math.inf)
     epochs = PpoTrainer(params.copy(), cfg).update(batch).epochs_run
-    if epochs != cfg.epochs_per_update:
-        raise SystemExit(f"the update ran {epochs} epochs, not {cfg.epochs_per_update}")
+    if epochs != EPOCHS:
+        raise SystemExit(f"the update ran {epochs} epochs, not {EPOCHS}")
     seconds = best_of(lambda n: [PpoTrainer(params.copy(), cfg) for _ in range(n)],
                       lambda trainer: trainer.update(batch))
     sizes = "x".join(str(w) for w in params.policy.sizes)
