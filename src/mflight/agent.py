@@ -6,6 +6,9 @@ diagonal Gaussian with a state-independent learned log-std; actions are
 sampled pre-clip (log-probabilities refer to the unclipped sample) and clamped
 to [-1, 1] before they reach the environment.
 
+The agent takes (B, 1) state stacks only, through one :meth:`Mlp.forward_rows`
+pass; the PPO update projects ``log_std`` into [-5, 2] after every step.
+
 All parameters live in one vector, ``PolicyParams.flat``, that :func:`layout`
 names in checkpoint order; the weights, biases and ``log_std`` are views into it.
 """
@@ -144,36 +147,17 @@ def init_params(rng: np.random.Generator, state_dim: int = 1, action_dim: int = 
     return params
 
 
-def _as_batch(state) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(state, dtype=float))
-    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
+def value(params: PolicyParams, states: np.ndarray) -> np.ndarray:
+    """V(s) of each row of a (B, 1) state stack, as ``collect_round`` computes it.
 
-
-def forward_policy(params: PolicyParams, state):
-    """Policy mean and std for one state or a batch of states.
-
-    The [-5, 2] log-std clamp is enforced as a projection inside the update
-    step, so stored parameters are already in range here.
+    No command calls it: it stays only because the benchmark's tracer wraps
+    ``orchestrator.value`` by name, and ``bench/`` is fixed between revisions.
     """
-    x = _as_batch(state)
-    mean = params.policy.forward(x)
-    std = np.exp(params.log_std)
-    if np.ndim(state) == 0:
-        return mean[0], std
-    return mean, std
-
-
-def value(params: PolicyParams, state):
-    """State-value estimate V(s): a float for one state, an array for a batch."""
-    if np.ndim(state) == 0:
-        return float(params.value.forward(np.array([[state]], dtype=float))[0, 0])
-    return params.value.forward(_as_batch(state))[:, 0]
+    return params.value.forward_rows(states)[:, 0]
 
 
 def gaussian_log_prob(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
-    """Diagonal-Gaussian log density, batched over the first axis."""
-    actions = np.atleast_2d(actions)
-    mean = np.atleast_2d(mean)
+    """Diagonal-Gaussian log density of each row of (B, d) actions and means."""
     std = np.exp(log_std)
     z = (actions - mean) / std
     return -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * actions.shape[1] * LOG_2PI
@@ -188,14 +172,15 @@ class GaussianActions:
     clipped: np.ndarray    # (T, d) samples clamped to [-1, 1] for the environment
 
 
-def act(params: PolicyParams, states, rngs) -> GaussianActions:
-    """Sample a_j ~ N(mean(s_j), diag(std^2)) for each state s_j, drawing from ``rngs[j]``.
+def act(params: PolicyParams, states: np.ndarray, rngs) -> GaussianActions:
+    """Sample a_j ~ N(mean(s_j), diag(std^2)) for each row s_j of a (B, 1) state
+    stack, drawing from ``rngs[j]``.
 
     The means are one :meth:`Mlp.forward_rows` pass over the stack; the rest
     is elementwise or sums over one row. So every row has the bits of acting
     on its state alone.
     """
-    means = params.policy.forward_rows(np.asarray(states, dtype=float).reshape(-1, 1))
+    means = params.policy.forward_rows(states)
     noise = np.empty_like(means)
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=noise[j])

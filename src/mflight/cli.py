@@ -1,9 +1,10 @@
 """Command-line entry point: train, evaluate, and compare runs.
 
-Exit codes: 0 success, 2 configuration error, 3 aborted training or an
-allocation the host cannot make, 4 an unreadable checkpoint or run file, a
-checkpoint of state or action widths the environment cannot act with, or a
-checkpoint or artifact-schema version mismatch.
+Exit codes: 0 success, 2 configuration error, 3 aborted training, an
+allocation the host cannot make, or an output that cannot be created or
+written, 4 an unreadable checkpoint or run file, a checkpoint of state or
+action widths the environment cannot act with, or a checkpoint or
+artifact-schema version mismatch.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ def main(argv=None) -> int:
         return EXIT_ABORTED
     except MemoryError as exc:  # a count within numpy's index range can still exceed the host
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
+    except OSError as exc:  # every reader raises its typed error, so this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_ABORTED
 
 

@@ -121,7 +121,7 @@ def _merge(ref: dict, given, path: str) -> dict:
     the target (which ``validate_document`` then reports missing), may be null.
     """
     if not isinstance(given, dict):
-        raise ConfigError(f"config section {path or '<root>'} must be an object")
+        raise ConfigError(f"config section {path.rstrip('.') or '<root>'} must be an object")
     merged = {}
     for key, val in given.items():
         if key not in ref:

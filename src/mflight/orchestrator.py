@@ -321,7 +321,8 @@ def run_campaign(cfg: RunConfig) -> CampaignReport:
     if cfg.mode != "scratch":
         controller = ctl_mod.TransferController(k=cfg.ctl_window, gamma_cut=cfg.ctl_gamma_cut)
         source_result = run_phase(cfg.source, source_env, trainer, controller, cfg)
-        hifi_during_source = target_env.eval_count if cfg.target.fidelity == "high" else 0
+        hifi_during_source = sum(e.eval_count for e in (source_env, target_env)
+                                 if e.fidelity == "high")
         if not controller.complete and not cfg.force_transfer:
             raise RunError(
                 "source budget exhausted before the transfer criterion fired; "

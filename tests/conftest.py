@@ -52,8 +52,8 @@ def random_small_params(rng, action_dim=3, hidden=(8, 7)):
 
 def random_batch(rng, params, size=6):
     states = rng.standard_normal((size, 1))
-    mean, std = agent.forward_policy(params, states)
-    actions = mean + 1.5 * std * rng.standard_normal((size, params.action_dim))
+    mean = params.policy.forward(states)
+    actions = mean + 1.5 * np.exp(params.log_std) * rng.standard_normal((size, params.action_dim))
     logp_old = agent.gaussian_log_prob(actions, mean, params.log_std) \
         + 0.1 * rng.standard_normal(size)
     rewards = rng.standard_normal(size)

@@ -41,7 +41,6 @@ from mflight.agent import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     Mlp,
-    forward_policy,
     gaussian_log_prob,
 )
 from mflight.ctl import VARIANCE_FLOOR, window_statistic
@@ -380,8 +379,8 @@ class GaussianAction:
 
 def act_reference(params, state: float, rng: np.random.Generator) -> GaussianAction:
     """Sample a ~ N(mean(s), diag(std^2)); clip only for the environment."""
-    mean, std = forward_policy(params, float(state))
-    a = mean + std * rng.standard_normal(params.action_dim)
+    mean = params.policy.forward(np.array([[float(state)]]))[0]
+    a = mean + np.exp(params.log_std) * rng.standard_normal(params.action_dim)
     log_prob = float(gaussian_log_prob(a[None, :], mean[None, :], params.log_std)[0])
     return GaussianAction(action=a, log_prob=log_prob, clipped_action=np.clip(a, -1.0, 1.0))
 

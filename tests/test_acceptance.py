@@ -15,7 +15,6 @@ import pytest
 from mflight import cli
 from mflight.aeroenv import Environment
 from mflight.agent import (
-    forward_policy,
     gaussian_log_prob,
     init_params,
     load_checkpoint,
@@ -27,7 +26,6 @@ from mflight.orchestrator import (
     collect_round,
     episodes_to_threshold,
     greedy_designs,
-    normalize_state,
     run_campaign,
     threshold_value,
     trailing_mean,
@@ -339,11 +337,9 @@ def test_criterion_9_checkpoint_roundtrip_and_transfer(tmp_path):
     bytes_identical = p1.read_bytes() == p2.read_bytes()
 
     copy = transfer(params)
-    state = normalize_state(6.1e6, (5.5e6, 5e5))
-    mean_src, _ = forward_policy(params, state)
-    mean_tgt, _ = forward_policy(copy, state)
-    greedy_equal = bool(np.array_equal(np.clip(mean_src, -1, 1),
-                                       np.clip(mean_tgt, -1, 1)))
+    greedy_src = greedy_designs(params, [6.1e6], (5.5e6, 5e5))
+    greedy_tgt = greedy_designs(copy, [6.1e6], (5.5e6, 5e5))
+    greedy_equal = bool(np.array_equal(greedy_src.values, greedy_tgt.values))
     ok = bytes_identical and greedy_equal
     report(9, "checkpoint round-trip and transfer action equality", ok,
            f"bytes identical={bytes_identical}, greedy actions equal={greedy_equal}, "

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from mflight.agent import (
     GaussianActions,
     act,
-    forward_policy,
     gaussian_log_prob,
     init_params,
     layout,
@@ -36,39 +35,37 @@ def zeroed_output(params):
 class TestForward:
     def test_zero_output_layer_gives_zero_mean(self):
         p = zeroed_output(init_params(np.random.default_rng(0), action_dim=13))
-        for s in (-2.0, 0.0, 3.7):
-            mean, _ = forward_policy(p, s)
-            assert_allclose(mean, np.zeros(13), rtol=0, atol=0)
+        mean = p.policy.forward_rows(np.array([[-2.0], [0.0], [3.7]]))
+        assert_allclose(mean, np.zeros((3, 13)), rtol=0, atol=0)
 
     def test_purity(self):
         p = init_params(np.random.default_rng(1))
-        m1, s1 = forward_policy(p, 0.3)
-        m2, s2 = forward_policy(p, 0.3)
+        before = p.flat.copy()
+        m1 = p.policy.forward_rows(np.array([[0.3]]))
+        m2 = p.policy.forward_rows(np.array([[0.3]]))
         assert_allclose(m1, m2, rtol=0, atol=0)
-        assert_allclose(s1, s2, rtol=0, atol=0)
+        assert p.flat.tobytes() == before.tobytes()
 
     def test_zero_log_std_gives_unit_std(self):
         p = init_params(np.random.default_rng(2))
         p.log_std[:] = 0.0
-        _, std = forward_policy(p, 0.0)
-        assert_allclose(std, np.ones(13), rtol=0, atol=0)
+        assert_allclose(np.exp(p.log_std), np.ones(13), rtol=0, atol=0)
 
     def test_value_zero_head(self):
         p = zeroed_output(init_params(np.random.default_rng(3)))
-        for s in (-1.0, 0.0, 2.0):
-            assert value(p, s) == 0.0
+        assert_allclose(value(p, np.array([[-1.0], [0.0], [2.0]])), np.zeros(3), rtol=0, atol=0)
 
     def test_value_purity(self):
         p = init_params(np.random.default_rng(4))
-        assert value(p, 1.23) == value(p, 1.23)
+        assert value(p, np.array([[1.23]])) == value(p, np.array([[1.23]]))
 
 
 class TestAct:
     def test_tiny_std_returns_mean(self):
         p = init_params(np.random.default_rng(5))
         p.log_std[:] = np.log(1e-9)
-        mean, _ = forward_policy(p, 0.5)
-        drawn = act(p, [0.5], [np.random.default_rng(0)])
+        mean = p.policy.forward(np.array([[0.5]]))
+        drawn = act(p, np.array([[0.5]]), [np.random.default_rng(0)])
         assert np.abs(drawn.actions[0] - mean).max() < 1e-6
 
     def test_log_prob_matches_density_oracle(self):
@@ -76,8 +73,8 @@ class TestAct:
         p = init_params(np.random.default_rng(6))
         rng = np.random.default_rng(1)
         for _ in range(20):
-            drawn = act(p, [0.7], [rng])
-            mean, std = forward_policy(p, 0.7)
+            drawn = act(p, np.array([[0.7]]), [rng])
+            mean, std = p.policy.forward(np.array([[0.7]]))[0], np.exp(p.log_std)
             oracle = float(np.sum(
                 -0.5 * ((drawn.actions[0] - mean) / std) ** 2
                 - np.log(std) - 0.5 * np.log(2 * np.pi)))
@@ -85,8 +82,8 @@ class TestAct:
 
     def test_seeded_reproducibility(self):
         p = init_params(np.random.default_rng(7))
-        a = act(p, [0.1], [np.random.default_rng(99)])
-        b = act(p, [0.1], [np.random.default_rng(99)])
+        a = act(p, np.array([[0.1]]), [np.random.default_rng(99)])
+        b = act(p, np.array([[0.1]]), [np.random.default_rng(99)])
         assert_allclose(a.actions, b.actions, rtol=0, atol=0)
         assert a.log_probs.tobytes() == b.log_probs.tobytes()
 
@@ -94,7 +91,7 @@ class TestAct:
         p = init_params(np.random.default_rng(8))
         p.log_std[:] = np.log(5.0)
         rng = np.random.default_rng(2)
-        drawn = act(p, [0.0], [rng])
+        drawn = act(p, np.array([[0.0]]), [rng])
         assert isinstance(drawn, GaussianActions)
         assert np.abs(drawn.clipped).max() <= 1.0
 
@@ -108,19 +105,20 @@ class TestAct:
         rng = np.random.default_rng(seed)
         p = init_params(rng, action_dim=action_dim, hidden=hidden, log_std_init=log_std)
         p.flat += 0.3 * rng.standard_normal(p.flat.size)
-        states = (3.0 * rng.standard_normal(rows)).tolist()
+        states = 3.0 * rng.standard_normal((rows, 1))
         drawn = act(p, states, [np.random.default_rng([seed, j]) for j in range(rows)])
+        values = value(p, states)
         assert drawn.actions.shape == drawn.clipped.shape == (rows, action_dim)
-        for j, state in enumerate(states):
+        for j, state in enumerate(states[:, 0].tolist()):
             ga = act_reference(p, state, np.random.default_rng([seed, j]))
             assert drawn.actions[j].tobytes() == ga.action.tobytes(), j
             assert drawn.clipped[j].tobytes() == ga.clipped_action.tobytes(), j
             assert repr(drawn.log_probs.tolist()[j]) == repr(ga.log_prob), j
-            assert repr(value(p, state)) == repr(value_reference(p, state)), j
+            assert repr(values.tolist()[j]) == repr(value_reference(p, state)), j
 
     def test_log_prob_marginal_integrates_to_one(self):
         p = init_params(np.random.default_rng(9), action_dim=1, hidden=(8,))
-        mean, std = forward_policy(p, 0.0)
+        mean, std = p.policy.forward(np.zeros((1, 1)))[0], np.exp(p.log_std)
         xs = np.linspace(mean[0] - 8 * std[0], mean[0] + 8 * std[0], 4001)
         logp = gaussian_log_prob(xs[:, None], np.full((len(xs), 1), mean[0]), p.log_std)
         integral = np.trapezoid(np.exp(logp), xs)

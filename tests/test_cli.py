@@ -70,6 +70,16 @@ class TestTrain:
         cli.main(["train", "--config", str(cfg), "--out", str(out2), "--seed", "4"])
         assert (out / "episodes.csv").read_bytes() != (out2 / "episodes.csv").read_bytes()
 
+    def test_out_that_is_a_file_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and str(out) in err
+        assert len(err.splitlines()) == 1
+        assert out.read_text() == "not a directory\n"
+
     def test_invalid_override_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -237,6 +247,15 @@ class TestEvaluate:
         assert (eval_out / "airfoil_mean.dat").exists()
         assert (eval_out / "cp_mean.csv").exists()
         assert (eval_out / "eval_summary.txt").exists()
+
+    def test_out_below_a_file_exits_3(self, tmp_path, capsys, scratch_run):
+        cfg, out = scratch_run
+        code = cli.main(["evaluate", "--checkpoint", str(out / "checkpoint_target_final.ckpt"),
+                         "--config", str(cfg), "--out", str(out / "summary.txt" / "eval")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "summary.txt" in err
+        assert len(err.splitlines()) == 1
 
     def test_evaluate_deterministic(self, tmp_path, scratch_run):
         cfg, out = scratch_run
@@ -507,6 +526,15 @@ class TestCompare:
         assert len(lines) == 4
         savings = lines[3].split(",")[-1]
         assert float(savings) == 0.0
+
+    def test_out_in_a_missing_directory_exits_3(self, tmp_path, capsys, scratch_run):
+        _, out = scratch_run
+        table = tmp_path / "missing" / "c.csv"
+        assert cli.main(["compare", str(out), str(out), "--out", str(table)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "missing" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_schema_mismatch_exits_4(self, tmp_path, scratch_run):
         _, out = scratch_run

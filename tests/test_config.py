@@ -73,7 +73,8 @@ class TestValidation:
         for part in parents:
             node = node.setdefault(part, {})
         node[key] = None
-        with pytest.raises(ConfigError, match=f"config section {path}. must be an object"):
+        message = f"config section {path} must be an object"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_mod.validate_document(doc)
 
     @pytest.mark.parametrize("section", ["source", "state_reference"])

@@ -152,8 +152,8 @@ class TestTransfer:
     def test_copy_acts_identically(self):
         params = init_params(np.random.default_rng(7))
         copy = transfer(params)
-        a = agent.act(params, [0.4], [np.random.default_rng(11)])
-        b = agent.act(copy, [0.4], [np.random.default_rng(11)])
+        a = agent.act(params, np.array([[0.4]]), [np.random.default_rng(11)])
+        b = agent.act(copy, np.array([[0.4]]), [np.random.default_rng(11)])
         assert_allclose(a.actions, b.actions, rtol=0, atol=0)
         assert a.log_probs.tobytes() == b.log_probs.tobytes()
 

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from mflight import boundary_layer as bl
 from mflight import panel
 from mflight.aeroenv import RE_FLOOR, Environment, low_fidelity_cd
-from mflight.agent import forward_policy, gaussian_log_prob, init_params
+from mflight.agent import gaussian_log_prob, init_params
 from mflight.ctl import TransferController
 from mflight.errors import ConfigError, InvalidAction, SolverError
 from mflight.geometry import (
@@ -493,8 +493,8 @@ class TestTrailingMean:
 def oracle_batch(rng, params, size):
     """Actions near the policy, old log-probs off by noise, raw advantages."""
     states = rng.standard_normal((size, 1))
-    mean, std = forward_policy(params, states)
-    actions = mean + 1.5 * std * rng.standard_normal((size, params.action_dim))
+    mean = params.policy.forward(states)
+    actions = mean + 1.5 * np.exp(params.log_std) * rng.standard_normal((size, params.action_dim))
     logp_old = gaussian_log_prob(actions, mean, params.log_std) + 0.1 * rng.standard_normal(size)
     rewards = rng.standard_normal(size)
     return ExperienceBatch(states=states, actions=actions, log_probs_old=logp_old,

@@ -271,6 +271,19 @@ class TestRunCampaign:
         assert report.hifi_calls_during_source == 0
         assert report.env_counts["high"] == report.target.episodes
 
+    @pytest.mark.parametrize("mode, source_fidelity",
+                             [("single_fidelity_ctl", "high"), ("multi_fidelity_ctl", "low")])
+    def test_hifi_calls_during_source_count_the_source_phase(self, mode, source_fidelity):
+        cfg = small_cfg(mode="multi_fidelity_ctl", seed=3, budget=20, source_budget=40,
+                        target_fidelity="high", force_transfer=True, ctl_window=10,
+                        bounds=experiment_bounds())
+        report = run_campaign(replace(cfg, mode=mode,
+                                      source=replace(cfg.source, fidelity=source_fidelity)))
+        assert report.source.episodes == 40
+        high_source = report.source.episodes if source_fidelity == "high" else 0
+        assert report.hifi_calls_during_source == high_source
+        assert report.env_counts["high"] == high_source + report.target.episodes
+
     def test_unconverged_source_without_force_aborts(self):
         cfg = small_cfg(mode="single_fidelity_ctl", seed=6, budget=20,
                         source_budget=20, force_transfer=False, ctl_window=500)
@@ -356,13 +369,13 @@ class TestEvaluatePolicy:
         expected = np.empty(45)
         for i in range(45):
             re_c = sample_state(dist, episode_rng(6, "eval", i))
-            mean, _ = agent.forward_policy(params, normalize_state(re_c, ref))
+            mean = params.policy.forward(np.array([[normalize_state(re_c, ref)]]))
             ((expected[i], _),) = one_env.step_round(DesignVector(np.clip(mean, -1.0, 1.0)),
                                                      [re_c])
         assert result.rewards.tobytes() == expected.tobytes()
         assert len(set(expected.tolist())) > 1
 
-        mean, _ = agent.forward_policy(params, normalize_state(dist.mu, ref))
+        mean = params.policy.forward(np.array([[normalize_state(dist.mu, ref)]]))
         (shape,) = one_env.build_shapes(DesignVector(np.clip(mean, -1.0, 1.0)))
         assert result.mean_shape.points.tobytes() == shape.points.tobytes()
         assert result.mean_shape.valid and result.mean_aero is not None

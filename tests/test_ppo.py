@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mflight import agent
-from mflight.agent import forward_policy, gaussian_log_prob, init_params
+from mflight.agent import gaussian_log_prob, init_params
 from mflight.errors import EmptyBatch
 from mflight.ppo import (
     MAX_GRAD_NORM,
@@ -45,12 +44,13 @@ class TestProbRatio:
 
 def single_record_batch(params, adv, ratio, eps_state=0.0):
     """Batch of one record engineered to a target probability ratio."""
-    mean, std = forward_policy(params, eps_state)
-    action = mean + 0.3 * std
-    logp_new = float(gaussian_log_prob(action[None, :], mean[None, :], params.log_std)[0])
+    state = np.array([[eps_state]])
+    mean = params.policy.forward(state)
+    action = mean + 0.3 * np.exp(params.log_std)
+    logp_new = float(gaussian_log_prob(action, mean, params.log_std)[0])
     return ExperienceBatch(
-        states=np.array([[eps_state]]),
-        actions=action[None, :],
+        states=state,
+        actions=action,
         log_probs_old=np.array([logp_new - np.log(ratio)]),
         advantages=np.array([adv]),
         returns=np.array([0.0]),
@@ -161,10 +161,10 @@ class TestUpdate:
         rng = np.random.default_rng(10)
         params = init_params(rng, action_dim=1, hidden=(16,))
         trainer = PpoTrainer(params, PpoConfig(learning_rate=1e-3))
-        mean0 = float(forward_policy(trainer.params, 0.0)[0][0])
+        mean0 = float(trainer.params.policy.forward(np.zeros((1, 1)))[0, 0])
         for _ in range(5):
-            mean, std = forward_policy(trainer.params, np.zeros((20, 1)))
-            actions = mean + std * rng.standard_normal((20, 1))
+            mean = trainer.params.policy.forward(np.zeros((20, 1)))
+            actions = mean + np.exp(trainer.params.log_std) * rng.standard_normal((20, 1))
             logp = gaussian_log_prob(actions, mean, trainer.params.log_std)
             rewards = actions[:, 0]  # higher action, higher reward
             values = np.zeros(20)
@@ -172,7 +172,7 @@ class TestUpdate:
                                     log_probs_old=logp, advantages=rewards - values,
                                     returns=rewards)
             trainer.update(batch)
-        mean1 = float(forward_policy(trainer.params, 0.0)[0][0])
+        mean1 = float(trainer.params.policy.forward(np.zeros((1, 1)))[0, 0])
         assert mean1 > mean0
 
     def test_clip_fraction_bounds(self):
@@ -266,16 +266,16 @@ def toy_quadratic_run(seed, updates=500, batch=40):
     trainer = PpoTrainer(params, PpoConfig())
     states = np.zeros((batch, 1))
     for _ in range(updates):
-        mean, std = forward_policy(trainer.params, states)
-        actions = mean + std * rng.standard_normal((batch, 1))
+        mean = trainer.params.policy.forward(states)
+        actions = mean + np.exp(trainer.params.log_std) * rng.standard_normal((batch, 1))
         logp = gaussian_log_prob(actions, mean, trainer.params.log_std)
         a = np.clip(actions[:, 0], -1.0, 1.0)
         rewards = -(a - 0.3) ** 2
-        values = agent.value(trainer.params, states)
+        values = trainer.params.value.forward(states)[:, 0]
         trainer.update(ExperienceBatch(states=states, actions=actions,
                                        log_probs_old=logp, advantages=rewards - values,
                                        returns=rewards))
-    return float(forward_policy(trainer.params, 0.0)[0][0])
+    return float(trainer.params.policy.forward(np.zeros((1, 1)))[0, 0])
 
 
 class TestToyConvergence:

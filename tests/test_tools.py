@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflight.agent import load_checkpoint, value
+from mflight.agent import load_checkpoint
 from mflight.ppo import EPOCHS, PpoConfig, PpoTrainer
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +41,7 @@ def test_layer_timings_builds_a_ppo_batch(tools):
     assert batch.states.shape == (3, 1) and batch.actions.shape == (3, params.action_dim)
     assert batch.log_probs_old.shape == batch.advantages.shape == batch.returns.shape == (3,)
     assert ((-0.1 <= batch.returns) & (batch.returns <= 0.0)).all()
-    values = np.array([value(params, float(s)) for s in batch.states[:, 0]])
+    values = params.value.forward_rows(batch.states)[:, 0]
     assert batch.advantages.tobytes() == (batch.returns - values).tobytes()
     stats = PpoTrainer(params.copy(), PpoConfig(kl_stop=np.inf)).update(batch)
     assert stats.epochs_run == EPOCHS and not stats.aborted

@@ -56,7 +56,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 from mflight import boundary_layer, config  # noqa: E402
 from mflight.aeroenv import Environment  # noqa: E402
-from mflight.agent import act, forward_policy, gaussian_log_prob, load_checkpoint, value  # noqa: E402
+from mflight.agent import act, gaussian_log_prob, load_checkpoint  # noqa: E402
 from mflight.ctl import TransferController  # noqa: E402
 from mflight.geometry import build_airfoil, decode  # noqa: E402
 from mflight.orchestrator import episode_rng  # noqa: E402
@@ -169,32 +169,32 @@ def step_round_timings():
 def agent_timings():
     params, _ = load_checkpoint(CHECKPOINT)
     rnd = random.Random(2024)
-    states = [rnd.gauss(0.0, 1.0) for _ in range(20)]
+    states = np.array([[rnd.gauss(0.0, 1.0)] for _ in range(20)])
     rngs = [episode_rng(2024, "source", j) for j in range(20)]
     seconds = best_of(lambda n: [states] * n, lambda s: act(params, s, rngs))
     yield f"act B={len(states)} (one round)", seconds
-    column = np.array(states).reshape(-1, 1)
-    seconds = best_of(lambda n: [column] * n, params.value.forward_rows)
+    seconds = best_of(lambda n: [states] * n, params.value.forward_rows)
     yield f"value B={len(states)} (one round)", seconds
 
 
 def ppo_batch(params, size: int, seed: int) -> ExperienceBatch:
     """Episodes sampled from the policy at standard-normal states, rewards in [-0.1, 0]."""
     rnd = random.Random(seed)
-    states, actions, log_probs, rewards, values = [], [], [], [], []
+    std = np.exp(params.log_std).tolist()
+    states, actions, log_probs, rewards = [], [], [], []
     for _ in range(size):
-        state = rnd.gauss(0.0, 1.0)
-        mean, std = forward_policy(params, state)
-        action = [m + s * rnd.gauss(0.0, 1.0) for m, s in zip(mean.tolist(), std.tolist())]
-        states.append([state])
-        actions.append(action)
+        state = np.array([[rnd.gauss(0.0, 1.0)]])
+        mean = params.policy.forward(state)
+        action = np.array([[m + s * rnd.gauss(0.0, 1.0) for m, s in zip(mean[0].tolist(), std)]])
+        states.append(state[0])
+        actions.append(action[0])
         log_probs.append(float(gaussian_log_prob(action, mean, params.log_std)[0]))
         rewards.append(rnd.uniform(-0.1, 0.0))
-        values.append(value(params, state))
-    returns = np.array(rewards)
-    return ExperienceBatch(states=np.array(states), actions=np.array(actions),
+    states, returns = np.array(states), np.array(rewards)
+    return ExperienceBatch(states=states, actions=np.array(actions),
                            log_probs_old=np.array(log_probs),
-                           advantages=returns - np.array(values), returns=returns)
+                           advantages=returns - params.value.forward_rows(states)[:, 0],
+                           returns=returns)
 
 
 def ppo_timing():
